@@ -176,7 +176,8 @@ def from_arcs(n: int, beats: Iterable[Tuple[int, int]]) -> Tournament:
 def score_sequence(t: Tournament) -> LandauSequence:
     """Sorted out-degrees; always satisfies Landau's conditions."""
     result = validate_landau(sorted(int(x) for x in t.scores()))
-    assert isinstance(result, LandauSequence)
+    if not isinstance(result, LandauSequence):
+        raise TournamentError(f"out-degrees are not a score sequence: {result}")
     return result
 
 
@@ -278,39 +279,45 @@ def is_strong(t: Tournament) -> bool:
 
 
 def _shortest_path(adj: np.ndarray, src: int, dst: int) -> Optional[List[int]]:
-    """Shortest src -> dst path by BFS; smallest-id parents break ties."""
+    """Shortest src -> dst path by level-synchronous BFS, or None if unreachable.
+
+    Tie-break: every vertex on the path is the smallest-id vertex of the
+    previous BFS level that beats the next one (the direct arc and the
+    smallest-id middle vertex of a 2-path are tried first).  Each level is
+    expanded at once with one boolean row reduction, O(|level| * n), so a
+    search costs O(n^2) in the worst case and O(n) when a shortcut applies.
+    """
     if adj[src, dst]:
         return [src, dst]
-    n = adj.shape[0]
     mid = np.flatnonzero(adj[src] & adj[:, dst])
     if mid.size:
         return [src, int(mid[0]), dst]
-    parent = np.full(n, -1, dtype=np.int64)
-    visited = np.zeros(n, dtype=bool)
+    visited = np.zeros(adj.shape[0], dtype=bool)
     visited[src] = True
-    frontier = [src]
+    levels = [np.array([src])]
     while True:
-        new = np.zeros(n, dtype=bool)
-        for f in frontier:
-            fresh = adj[f] & ~visited & ~new
-            if fresh.any():
-                parent[fresh] = f
-                new |= fresh
-        if not new.any():
-            return None
-        visited |= new
+        new = adj[levels[-1]].any(axis=0) & ~visited
         if new[dst]:
             break
-        frontier = [int(v) for v in np.flatnonzero(new)]
+        level = np.flatnonzero(new)
+        if not level.size:
+            return None
+        visited[level] = True
+        levels.append(level)
     path = [dst]
-    while path[-1] != src:
-        path.append(int(parent[path[-1]]))
+    for level in reversed(levels):
+        path.append(int(level[np.argmax(adj[level, path[-1]])]))
     path.reverse()
     return path
 
 
 def find_path(t: Tournament, src: int, dst: int) -> VertexPath:
-    """Shortest directed path from src to dst, deterministic tie-breaking."""
+    """Shortest directed path from src to dst, deterministic tie-breaking.
+
+    Among the shortest paths, each vertex is the smallest-id vertex at its
+    BFS distance from src that beats the next vertex on the path.  The
+    search costs O(|level| * n) per BFS level, O(n^2) at most.
+    """
     if not (0 <= src < t.n and 0 <= dst < t.n):
         raise ValueError("vertex out of range")
     if src == dst:
@@ -362,6 +369,25 @@ def _base_matrix(n: int) -> np.ndarray:
     return _rotational_matrix(n) if n % 2 == 1 else _nearly_regular_matrix(n)
 
 
+def _replay(s: LandauSequence) -> Iterator[np.ndarray]:
+    """Replay the down-jump walk of ``s`` in reverse on one working matrix.
+
+    Yields the starting regular/nearly-regular matrix, then the same array
+    again after each path reversal: for a jump with positions (p, q), a
+    shortest path from vertex p-1 to vertex q-1 is reversed.
+    """
+    adj = _base_matrix(s.n)
+    yield adj
+    for p, q in reversed(_down_jump_indices(s.scores)):
+        path = _shortest_path(adj, p - 1, q - 1)
+        if path is None:
+            raise UnreachableError(
+                f"no path from {p - 1} to {q - 1}: intermediate tournament is not strong"
+            )
+        _flip_path(adj, path)
+        yield adj
+
+
 def realize(s: LandauSequence) -> Tournament:
     """Construct a tournament whose sorted scores equal ``s``.
 
@@ -371,13 +397,8 @@ def realize(s: LandauSequence) -> Tournament:
     from vertex p-1 to vertex q-1.  Vertex i always carries the i-th sorted
     score, so the output has score s_i at vertex i.
     """
-    n = s.n
-    steps = _down_jump_indices(s.scores)
-    adj = _base_matrix(n)
-    for p, q in reversed(steps):
-        path = _shortest_path(adj, p - 1, q - 1)
-        assert path is not None, "intermediate tournament must be strong"
-        _flip_path(adj, path)
+    for adj in _replay(s):
+        pass
     return Tournament(adj)
 
 
@@ -388,16 +409,7 @@ def realize_stages(s: LandauSequence) -> List[Tournament]:
     tournament down to the realization of ``s``; every entry except possibly
     the last is strong.
     """
-    n = s.n
-    steps = _down_jump_indices(s.scores)
-    adj = _base_matrix(n)
-    stages = [Tournament(adj.copy())]
-    for p, q in reversed(steps):
-        path = _shortest_path(adj, p - 1, q - 1)
-        assert path is not None, "intermediate tournament must be strong"
-        _flip_path(adj, path)
-        stages.append(Tournament(adj.copy()))
-    return stages
+    return [Tournament(adj) for adj in _replay(s)]
 
 
 def count_3cycles(t: Tournament) -> int:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -79,6 +80,14 @@ class TestRealize:
         result = invoke(runner, "realize", "1,1,2,3,4,5,6,6", "--format", "json")
         payload = json.loads(result.output)
         assert sorted(payload["scores"]) == [1, 1, 2, 3, 4, 5, 6, 6]
+
+    def test_transitive_300_arclist_digest(self, runner):
+        # the worst case of the replay (11,175 jumps, paths up to 252 arcs)
+        literal = ",".join(str(x) for x in range(300))
+        result = invoke(runner, "realize", literal, "--format", "arclist")
+        assert result.exit_code == 0
+        digest = hashlib.sha256(result.output.encode()).hexdigest()
+        assert digest == "168a318d98e555c89a8492cfacf68ef2a10e41c99eef6ff1165cdcf746415081"
 
     def test_dot_format(self, runner):
         result = invoke(runner, "realize", "0,1,2", "--format", "dot")

@@ -1,13 +1,27 @@
+from types import SimpleNamespace
+from typing import List, Optional
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from landau.sequences import LandauSequence, c_value, regular_sequence
+from landau import tournaments
+from landau.oracle import enumerate_tournaments
+from landau.sequences import (
+    LandauSequence,
+    c_value,
+    regular_sequence,
+    transitive_sequence,
+)
 from landau.tournaments import (
     DoublePairError,
     InvalidPathError,
     MissingPairError,
     SelfLoopError,
     Tournament,
+    TournamentError,
     UnreachableError,
     VertexPath,
     count_3cycles,
@@ -247,3 +261,129 @@ class TestCount3Cycles:
         s = LandauSequence((3, 3, 3, 3, 4, 4, 4, 4))
         assert count_3cycles(realize(s)) == 20
         assert count_3cycles(realize(s)) == c_value(s)
+
+
+def _reference_shortest_path(
+    adj: np.ndarray, src: int, dst: int
+) -> Optional[List[int]]:
+    """Shortest src -> dst path by BFS; smallest-id parents break ties.
+
+    The per-vertex BFS, kept as an independent reference for the
+    level-synchronous search in ``tournaments._shortest_path``.
+    """
+    if adj[src, dst]:
+        return [src, dst]
+    n = adj.shape[0]
+    mid = np.flatnonzero(adj[src] & adj[:, dst])
+    if mid.size:
+        return [src, int(mid[0]), dst]
+    parent = np.full(n, -1, dtype=np.int64)
+    visited = np.zeros(n, dtype=bool)
+    visited[src] = True
+    frontier = [src]
+    while True:
+        new = np.zeros(n, dtype=bool)
+        for f in frontier:
+            fresh = adj[f] & ~visited & ~new
+            if fresh.any():
+                parent[fresh] = f
+                new |= fresh
+        if not new.any():
+            return None
+        visited |= new
+        if new[dst]:
+            break
+        frontier = [int(v) for v in np.flatnonzero(new)]
+    path = [dst]
+    while path[-1] != src:
+        path.append(int(parent[path[-1]]))
+    path.reverse()
+    return path
+
+
+def _random_tournament(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
+    """Each pair i < j oriented i -> j with probability p."""
+    upper = np.triu(rng.random((n, n)) < p, k=1)
+    return upper | (~(upper | upper.T) & np.tri(n, n, -1, dtype=bool))
+
+
+def _mismatches(adj: np.ndarray):
+    """Ordered pairs where the two searches disagree, and the None count."""
+    n = adj.shape[0]
+    bad, unreachable = [], 0
+    for src in range(n):
+        for dst in range(n):
+            if src == dst:
+                continue
+            expected = _reference_shortest_path(adj, src, dst)
+            unreachable += expected is None
+            if tournaments._shortest_path(adj, src, dst) != expected:
+                bad.append((src, dst))
+    return bad, unreachable
+
+
+def _realize_with_reference(s: LandauSequence):
+    with mock.patch.object(tournaments, "_shortest_path", _reference_shortest_path):
+        return realize(s), realize_stages(s)
+
+
+@st.composite
+def valid_sequences(draw):
+    """Sorted scores of a drawn tournament on up to 30 vertices."""
+    n = draw(st.integers(min_value=1, max_value=30))
+    pairs = n * (n - 1) // 2
+    upper = np.zeros((n, n), dtype=bool)
+    upper[np.triu_indices(n, 1)] = draw(
+        st.lists(st.booleans(), min_size=pairs, max_size=pairs)
+    )
+    adj = upper | (~(upper | upper.T) & np.tri(n, n, -1, dtype=bool))
+    return LandauSequence(tuple(sorted(int(x) for x in adj.sum(axis=1))))
+
+
+class TestShortestPathAgainstReference:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_every_pair_of_every_small_tournament(self, n):
+        unreachable = 0
+        for t in enumerate_tournaments(n):
+            bad, none_count = _mismatches(t.adjacency)
+            assert not bad, (t, bad)
+            unreachable += none_count
+        assert unreachable > 0
+
+    @pytest.mark.parametrize("n", [6, 10, 20, 40])
+    @pytest.mark.parametrize("p", [0.03, 0.15, 0.5, 0.85, 0.97])
+    def test_random_tournaments(self, n, p):
+        rng = np.random.default_rng(1000 * n + int(100 * p))
+        for _ in range(3):
+            adj = _random_tournament(n, p, rng)
+            bad, _ = _mismatches(adj)
+            assert not bad, bad
+
+    @pytest.mark.parametrize("n", [31, 60, 80])
+    def test_realize_transitive_matches_reference_replay(self, n):
+        s = transitive_sequence(n)
+        expected, expected_stages = _realize_with_reference(s)
+        assert realize(s) == expected
+        assert realize_stages(s) == expected_stages
+
+    @settings(max_examples=60, deadline=None)
+    @given(valid_sequences())
+    def test_realize_matches_reference_replay(self, s):
+        expected, expected_stages = _realize_with_reference(s)
+        assert realize(s) == expected
+        assert realize_stages(s) == expected_stages
+
+
+class TestReplayErrors:
+    def test_missing_path_raises_typed_error(self):
+        s = LandauSequence((0, 1, 2))
+        with mock.patch.object(tournaments, "_shortest_path", lambda *a: None):
+            with pytest.raises(UnreachableError):
+                realize(s)
+            with pytest.raises(UnreachableError):
+                realize_stages(s)
+
+    def test_score_sequence_rejects_non_landau_scores(self):
+        fake = SimpleNamespace(scores=lambda: np.array([3, 0, 0]))
+        with pytest.raises(TournamentError):
+            score_sequence(fake)
