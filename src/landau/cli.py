@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import sys
+from dataclasses import asdict
 from typing import List, Tuple
 
 import click
@@ -33,6 +34,7 @@ from .sequences import (
 from .tournaments import Tournament, realize as realize_tournament
 
 TOURNAMENT_FORMATS = ("text", "json", "dot", "matrix", "arclist")
+TRACES = {"down": down_trace, "gr-down": gr_down_trace, "gr-up": up_trace}
 
 
 def _parse_literal(text: str) -> Tuple[int, ...]:
@@ -191,7 +193,7 @@ def _render_trace_json(trace: JumpTrace) -> str:
 @click.option("--file", "file_", type=click.Path(exists=True, dir_okay=False))
 @click.option(
     "--algorithm",
-    type=click.Choice(["down", "gr-down", "gr-up"]),
+    type=click.Choice(list(TRACES)),
     default="down",
     help="down: jump to the regular sequence; gr-down: from the transitive "
     "sequence to the input; gr-up: jump to the transitive sequence.",
@@ -200,13 +202,7 @@ def _render_trace_json(trace: JumpTrace) -> str:
 def trace(sequence, file_, algorithm, fmt):
     """Print the jump trace of one of the three algorithms."""
     for literal in _gather_literals(sequence, file_):
-        s = _require_valid(_parse_literal(literal))
-        if algorithm == "down":
-            tr = down_trace(s)
-        elif algorithm == "gr-down":
-            tr = gr_down_trace(s)
-        else:
-            tr = up_trace(s)
+        tr = TRACES[algorithm](_require_valid(_parse_literal(literal)))
         text = _render_trace_json(tr) if fmt == "json" else _render_trace_text(tr)
         click.echo(text, nl=False)
 
@@ -219,26 +215,13 @@ def enumerate_sequences(n, show_stats, fmt):
     """List all valid score sequences of order N, in total-order order."""
     try:
         if show_stats:
-            st = oracle.stats(n)
+            fields = asdict(oracle.stats(n))
             if fmt == "json":
-                click.echo(
-                    json.dumps(
-                        {
-                            "n": st.n,
-                            "sequence_count": st.sequence_count,
-                            "realizable_count": st.realizable_count,
-                            "max_trace_length": st.max_trace_length,
-                            "max_c": st.max_c,
-                        }
-                    )
-                )
+                click.echo(json.dumps(fields))
             else:
-                click.echo(f"n={st.n}")
-                click.echo(f"sequence_count={st.sequence_count}")
-                if st.realizable_count is not None:
-                    click.echo(f"realizable_count={st.realizable_count}")
-                click.echo(f"max_trace_length={st.max_trace_length}")
-                click.echo(f"max_c={st.max_c}")
+                for name, value in fields.items():
+                    if value is not None:
+                        click.echo(f"{name}={value}")
         else:
             seqs = oracle.enumerate_landau_sequences(n)
             if fmt == "json":
@@ -259,13 +242,11 @@ def compare(sequence, file_, fmt):
     """Jump counts of all three algorithms, with distances and 3-cycle count."""
     for literal in _gather_literals(sequence, file_):
         s = _require_valid(_parse_literal(literal))
-        n = s.n
-        down = len(down_trace(s))
-        gr_down = len(gr_down_trace(s))
-        gr_up = len(up_trace(s))
-        d_regular = distance(s, regular_sequence(n))
-        d_transitive = distance(s, transitive_sequence(n))
+        d_regular = distance(s, regular_sequence(s.n))
+        d_transitive = distance(s, transitive_sequence(s.n))
         c = c_value(s)
+        # walk lengths by the identities the tests certify: d(R,S)/2, d(Tr,S)/2, c(S)
+        down, gr_down, gr_up = d_regular // 2, d_transitive // 2, c
         if fmt == "json":
             click.echo(
                 json.dumps(

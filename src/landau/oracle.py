@@ -1,8 +1,9 @@
 """Brute-force ground truth at desk scale.
 
 Exhaustively enumerates all valid score sequences for small n and all
-labeled tournaments for very small n, so every claim the fast algorithms
-make can be certified against an independent search.
+labeled tournaments for very small n, and computes reachability from the
+arcs alone, so every claim the fast algorithms make can be certified
+against an independent search.
 """
 
 from __future__ import annotations
@@ -106,6 +107,18 @@ def realizable_by_brute_force(v: ScoreVector) -> bool:
             f"n={len(scores)} exceeds tournament cap {TOURNAMENT_CAP}"
         )
     return tuple(sorted(scores)) in _realizable_score_tuples(len(scores))
+
+
+def reachability(t: Tournament) -> np.ndarray:
+    """Boolean n x n matrix; (i, j) true iff a directed path leads i to j.
+
+    Warshall's transitive closure of the arcs, with every vertex reaching
+    itself.  It reads no scores, so it can certify score-based claims.
+    """
+    reach = t.adjacency | np.eye(t.n, dtype=bool)
+    for k in range(t.n):
+        reach |= np.outer(reach[:, k], reach[k])
+    return reach
 
 
 @dataclass(frozen=True)

@@ -6,14 +6,21 @@ every prefix sum of the sorted scores is at least C(k,2) and the total is
 exactly C(n,2).  This module holds the sequence-level machinery: validation,
 the total order that compares sequences from the last coordinate downward,
 and three jump algorithms that walk that order one unit of score at a time.
+
+Scores must be integers: Python ints and numpy integer scalars are accepted
+(through ``operator.index``) and stored as Python ints.  Floats, even
+integral ones, and bools raise ``TypeError`` instead of being truncated.
 """
 
 from __future__ import annotations
 
 import enum
+import operator
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import partial
 from math import comb
-from typing import Iterator, Optional, Sequence, Union
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
 #: Raw, unvalidated score input: any sequence of integers of length >= 1.
 ScoreVector = Sequence[int]
@@ -56,8 +63,14 @@ class ViolationReport:
 
 
 def first_violation(v: ScoreVector) -> Optional[ViolationReport]:
-    """Return the first violation of Landau's conditions, or None if valid."""
+    """Return the first violation of Landau's conditions, or None if valid.
+
+    Raises ``TypeError`` when an entry is a bool or not an integer.
+    """
     scores = tuple(v)
+    if any(isinstance(s, bool) for s in scores):
+        raise TypeError("scores must be integers, not bools")
+    scores = tuple(map(operator.index, scores))
     if not scores:
         raise ValueError("score vector must have length >= 1")
     for i, s in enumerate(scores, start=1):
@@ -93,10 +106,17 @@ class LandauSequence:
     scores: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "scores", tuple(int(s) for s in self.scores))
         report = first_violation(self.scores)
         if report is not None:
             raise ValueError(report.message)
+        object.__setattr__(self, "scores", tuple(map(operator.index, self.scores)))
+
+    @classmethod
+    def _trusted(cls, scores: tuple) -> "LandauSequence":
+        # Jumps keep sequences valid (a theorem the tests certify): no re-check.
+        self = object.__new__(cls)
+        object.__setattr__(self, "scores", scores)
+        return self
 
     @property
     def n(self) -> int:
@@ -129,22 +149,21 @@ def validate_strong_landau(s: LandauSequence) -> bool:
     Strict prefix sums characterize the score sequences of strong
     tournaments.  n = 1 is vacuously strong.
     """
+    return first_equality_index(s) is None
+
+
+def _prefix_equalities(scores: Sequence[int]) -> Iterator[int]:
+    """Each k < n where the sorted prefix sum is C(k,2): a strong-component cut."""
     prefix = 0
-    for k in range(1, s.n):
-        prefix += s.scores[k - 1]
-        if prefix <= comb(k, 2):
-            return False
-    return True
+    for k in range(1, len(scores)):
+        prefix += scores[k - 1]
+        if prefix == comb(k, 2):
+            yield k
 
 
 def first_equality_index(s: LandauSequence) -> Optional[int]:
     """Smallest k < n with prefix sum exactly C(k,2), or None if strong."""
-    prefix = 0
-    for k in range(1, s.n):
-        prefix += s.scores[k - 1]
-        if prefix == comb(k, 2):
-            return k
-    return None
+    return next(_prefix_equalities(s.scores), None)
 
 
 def regular_sequence(n: int) -> LandauSequence:
@@ -252,6 +271,60 @@ class JumpTrace:
             yield step.after
 
 
+# Step rules of down_jump_step, gr_down_step and up_step; run ends by bisect.
+def _down_rule(a: List[int]) -> Tuple[int, int]:
+    p = bisect_right(a, a[0])
+    q = bisect_left(a, a[-1]) + 1
+    a[p - 1] += 1
+    a[q - 1] -= 1
+    return p, q
+
+
+def _gr_down_rule(target: Sequence[int], a: List[int]) -> Tuple[int, int]:
+    alpha = next(i for i, (x, y) in enumerate(zip(a, target)) if x < y)
+    gamma = next(i for i, (x, y) in enumerate(zip(a, target), start=1) if x > y)
+    beta = bisect_right(a, a[alpha])
+    a[beta - 1] += 1
+    a[gamma - 1] -= 1
+    return beta, gamma
+
+
+def _up_rule(a: List[int]) -> Tuple[int, int]:
+    k = next(i for i in range(1, len(a)) if a[i - 1] == a[i])
+    last = bisect_right(a, a[k - 1])
+    a[k - 1] -= 1
+    a[last - 1] += 1
+    return k, last
+
+
+def _walk(rule: Callable, scores: List[int], target: List[int]) -> Iterator[tuple]:
+    """Apply ``rule`` to ``scores`` in place until they equal ``target``.
+
+    A rule moves one unit of score in the sorted list and returns the 1-based
+    (low, high) positions it moved; each pair is yielded.  The walk ends on
+    reaching the target, not after a precomputed count.
+    """
+    while scores != target:
+        yield rule(scores)
+
+
+def _step(algorithm: JumpAlgorithm, rule: Callable, s: LandauSequence) -> JumpStep:
+    scores = list(s.scores)
+    low, high = rule(scores)
+    return JumpStep(s, LandauSequence._trusted(tuple(scores)), low, high, algorithm)
+
+
+def _trace(
+    algorithm: JumpAlgorithm, rule: Callable, start: LandauSequence, target: tuple
+) -> JumpTrace:
+    scores, steps, before = list(start.scores), [], start
+    for low, high in _walk(rule, scores, list(target)):
+        after = LandauSequence._trusted(tuple(scores))
+        steps.append(JumpStep(before, after, low, high, algorithm))
+        before = after
+    return JumpTrace(start, before, tuple(steps))
+
+
 def down_jump_step(s: LandauSequence) -> JumpStep:
     """One jump down toward the regular sequence.
 
@@ -260,32 +333,14 @@ def down_jump_step(s: LandauSequence) -> JumpStep:
     position q loses 1.  The result stays valid and sits strictly below the
     input in the total order, two closer to the regular sequence in 1-norm.
     """
-    t = s.scores
-    n = len(t)
-    if t == regular_sequence(n).scores:
+    if s.scores == regular_sequence(s.n).scores:
         raise AlreadyRegular(str(s))
-    p = 1
-    while p < n and t[p] == t[0]:
-        p += 1
-    q = n
-    while q > 1 and t[q - 2] == t[n - 1]:
-        q -= 1
-    after = list(t)
-    after[p - 1] += 1
-    after[q - 1] -= 1
-    return JumpStep(s, LandauSequence(tuple(after)), p, q, JumpAlgorithm.DOWN)
+    return _step(JumpAlgorithm.DOWN, _down_rule, s)
 
 
 def down_trace(s: LandauSequence) -> JumpTrace:
     """Iterate down jumps until the regular sequence; d(s, R)/2 steps."""
-    steps = []
-    cur = s
-    target = regular_sequence(s.n)
-    while cur.scores != target.scores:
-        step = down_jump_step(cur)
-        steps.append(step)
-        cur = step.after
-    return JumpTrace(s, cur, tuple(steps))
+    return _trace(JumpAlgorithm.DOWN, _down_rule, s, regular_sequence(s.n).scores)
 
 
 def gr_down_step(u: LandauSequence, target: LandauSequence) -> JumpStep:
@@ -299,29 +354,14 @@ def gr_down_step(u: LandauSequence, target: LandauSequence) -> JumpStep:
         raise ValueError("sequences must have equal length")
     if u.scores == target.scores:
         raise Converged(str(u))
-    alpha = next(
-        i for i, (x, y) in enumerate(zip(u.scores, target.scores), start=1) if x < y
-    )
-    beta = max(i for i, x in enumerate(u.scores, start=1) if x == u.scores[alpha - 1])
-    gamma = next(
-        i for i, (x, y) in enumerate(zip(u.scores, target.scores), start=1) if x > y
-    )
-    after = list(u.scores)
-    after[beta - 1] += 1
-    after[gamma - 1] -= 1
-    return JumpStep(u, LandauSequence(tuple(after)), beta, gamma, JumpAlgorithm.GR_DOWN)
+    return _step(JumpAlgorithm.GR_DOWN, partial(_gr_down_rule, target.scores), u)
 
 
 def gr_down_trace(target: LandauSequence) -> JumpTrace:
     """Jump down from the transitive sequence to ``target``; d(Tr, target)/2 steps."""
-    steps = []
-    cur = transitive_sequence(target.n)
-    start = cur
-    while cur.scores != target.scores:
-        step = gr_down_step(cur, target)
-        steps.append(step)
-        cur = step.after
-    return JumpTrace(start, cur, tuple(steps))
+    rule = partial(_gr_down_rule, target.scores)
+    start = transitive_sequence(target.n)
+    return _trace(JumpAlgorithm.GR_DOWN, rule, start, target.scores)
 
 
 def up_step(s: LandauSequence) -> JumpStep:
@@ -330,28 +370,14 @@ def up_step(s: LandauSequence) -> JumpStep:
     k is the first position of a repeated value and m the multiplicity of
     that value; position k loses 1 and position k+m-1 gains 1.
     """
-    t = s.scores
-    n = len(t)
-    if t == transitive_sequence(n).scores:
+    if s.scores == transitive_sequence(s.n).scores:
         raise AlreadyTransitive(str(s))
-    k = next(i for i in range(1, n) if t[i - 1] == t[i])
-    m = t.count(t[k - 1])
-    after = list(t)
-    after[k - 1] -= 1
-    after[k + m - 2] += 1
-    return JumpStep(s, LandauSequence(tuple(after)), k, k + m - 1, JumpAlgorithm.GR_UP)
+    return _step(JumpAlgorithm.GR_UP, _up_rule, s)
 
 
 def up_trace(s: LandauSequence) -> JumpTrace:
     """Iterate up jumps until the transitive sequence; c_value(s) steps."""
-    steps = []
-    cur = s
-    target = transitive_sequence(s.n)
-    while cur.scores != target.scores:
-        step = up_step(cur)
-        steps.append(step)
-        cur = step.after
-    return JumpTrace(s, cur, tuple(steps))
+    return _trace(JumpAlgorithm.GR_UP, _up_rule, s, transitive_sequence(s.n).scores)
 
 
 def c_value(s: LandauSequence) -> int:

@@ -11,13 +11,15 @@ regular or nearly-regular tournament.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cmp_to_key
 from typing import Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from .sequences import (
     LandauSequence,
+    _down_rule,
+    _prefix_equalities,
+    _walk,
     regular_sequence,
     validate_landau,
 )
@@ -51,17 +53,20 @@ class Tournament:
     """Orientation of the complete graph on n labeled vertices.
 
     Immutable: the adjacency matrix is frozen at construction and operations
-    that change arcs return new instances.
+    that change arcs return new instances.  Entries must be 0, 1, False or
+    True; anything else raises ``ValueError`` rather than becoming an arc.
     """
 
     __slots__ = ("_adj",)
 
     def __init__(self, adjacency):
-        adj = np.array(adjacency, dtype=bool)
+        raw = np.asarray(adjacency)
+        if raw.dtype != bool and not ((raw == 0) | (raw == 1)).all():
+            raise ValueError("adjacency entries must be 0, 1, False or True")
+        adj = np.array(raw, dtype=bool)
         if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
             raise ValueError("adjacency must be a square matrix")
-        n = adj.shape[0]
-        if n < 1:
+        if adj.shape[0] < 1:
             raise ValueError("tournament needs at least one vertex")
         if adj.diagonal().any():
             raise SelfLoopError("vertex beats itself")
@@ -70,7 +75,8 @@ class Tournament:
         neither = ~(adj | adj.T)
         np.fill_diagonal(neither, False)
         if neither.any():
-            raise MissingPairError("some pair has no orientation")
+            i, j = (int(x) for x in np.argwhere(neither)[0])
+            raise MissingPairError(f"pair {{{i}, {j}}} has no orientation")
         adj.setflags(write=False)
         self._adj = adj
 
@@ -165,11 +171,6 @@ def from_arcs(n: int, beats: Iterable[Tuple[int, int]]) -> Tournament:
         if adj[j, i] or adj[i, j]:
             raise DoublePairError(f"pair {{{i}, {j}}} oriented twice")
         adj[i, j] = True
-    neither = ~(adj | adj.T)
-    np.fill_diagonal(neither, False)
-    if neither.any():
-        i, j = (int(x) for x in np.argwhere(neither)[0])
-        raise MissingPairError(f"pair {{{i}, {j}}} has no orientation")
     return Tournament(adj)
 
 
@@ -218,59 +219,17 @@ def nearly_regular(n: int) -> Tournament:
 
 
 def strong_components(t: Tournament) -> StrongDecomposition:
-    """Strong components in condensation order, terminal component first."""
-    n = t.n
-    adj = t.adjacency
-    succ = [np.flatnonzero(adj[i]) for i in range(n)]
-    pred = [np.flatnonzero(adj[:, i]) for i in range(n)]
+    """Strong components in condensation order, terminal component first.
 
-    # Kosaraju, iterative
-    visited = [False] * n
-    finish: List[int] = []
-    for root in range(n):
-        if visited[root]:
-            continue
-        stack = [(root, 0)]
-        visited[root] = True
-        while stack:
-            v, idx = stack.pop()
-            neighbors = succ[v]
-            while idx < len(neighbors):
-                w = int(neighbors[idx])
-                idx += 1
-                if not visited[w]:
-                    stack.append((v, idx))
-                    stack.append((w, 0))
-                    visited[w] = True
-                    break
-            else:
-                finish.append(v)
-
-    assigned = [False] * n
-    components = []
-    for v in reversed(finish):
-        if assigned[v]:
-            continue
-        comp = [v]
-        assigned[v] = True
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            for w in pred[u]:
-                w = int(w)
-                if not assigned[w]:
-                    assigned[w] = True
-                    comp.append(w)
-                    stack.append(w)
-        components.append(tuple(sorted(comp)))
-
-    # In a tournament the condensation is a total order; a single arc
-    # between representatives decides which component dominates.
-    def dominated_first(a, b):
-        return -1 if t.beats(b[0], a[0]) else 1
-
-    components.sort(key=cmp_to_key(dominated_first))
-    return StrongDecomposition(tuple(components))
+    Read off the scores (Landau's condition with equality): the vertices,
+    stably sorted by score, split wherever the sorted prefix sum is exactly
+    C(k,2), lowest scores first.  Vertex ids ascend inside each component.
+    """
+    scores = t.scores().tolist()
+    order = sorted(range(t.n), key=scores.__getitem__)
+    cuts = [0, *_prefix_equalities(sorted(scores)), t.n]
+    blocks = (sorted(order[a:b]) for a, b in zip(cuts, cuts[1:]))
+    return StrongDecomposition(tuple(map(tuple, blocks)))
 
 
 def is_strong(t: Tournament) -> bool:
@@ -344,27 +303,6 @@ def reverse_path(t: Tournament, path: VertexPath) -> Tournament:
     return Tournament(adj)
 
 
-def _down_jump_indices(scores: Tuple[int, ...]) -> List[Tuple[int, int]]:
-    """1-based (p, q) index pairs of the down-jump walk to the regular sequence.
-
-    Works on a mutable array with binary searches, so long walks on large n
-    stay cheap; the rule is the same one down_jump_step implements.
-    """
-    arr = np.array(scores, dtype=np.int64)
-    n = arr.size
-    target = np.array(regular_sequence(n).scores, dtype=np.int64)
-    remaining = int(np.abs(arr - target).sum())
-    steps: List[Tuple[int, int]] = []
-    while remaining > 0:
-        p = int(np.searchsorted(arr, arr[0], side="right"))
-        q = int(np.searchsorted(arr, arr[-1], side="left")) + 1
-        arr[p - 1] += 1
-        arr[q - 1] -= 1
-        remaining -= 2
-        steps.append((p, q))
-    return steps
-
-
 def _base_matrix(n: int) -> np.ndarray:
     return _rotational_matrix(n) if n % 2 == 1 else _nearly_regular_matrix(n)
 
@@ -376,9 +314,11 @@ def _replay(s: LandauSequence) -> Iterator[np.ndarray]:
     again after each path reversal: for a jump with positions (p, q), a
     shortest path from vertex p-1 to vertex q-1 is reversed.
     """
+    target = list(regular_sequence(s.n).scores)
+    pairs = list(_walk(_down_rule, list(s.scores), target))
     adj = _base_matrix(s.n)
     yield adj
-    for p, q in reversed(_down_jump_indices(s.scores)):
+    for p, q in reversed(pairs):
         path = _shortest_path(adj, p - 1, q - 1)
         if path is None:
             raise UnreachableError(

@@ -15,6 +15,7 @@ import pytest
 from landau.oracle import (
     enumerate_landau_sequences,
     enumerate_tournaments,
+    reachability,
     realizable_by_brute_force,
 )
 from landau.sequences import (
@@ -62,7 +63,7 @@ def test_criterion_2_realization_with_strong_intermediates():
             stages = realize_stages(s)
             assert score_sequence(stages[-1]) == s
             for t in stages[:-1]:
-                assert is_strong(t)
+                assert reachability(t).all()
     _passed("criterion 2 (realization, n<=10)")
 
 
@@ -176,10 +177,13 @@ def test_criterion_6_lemma_suite():
                 assert first_violation(step.after.scores) is None
                 assert distance(step.after, r) == distance(step.before, r) - 2
 
-    # strongness criterion on every tournament of order <= 6
+    # strongness criterion on every tournament of order <= 6, against
+    # reachability computed from the arcs alone
     for n in range(1, 7):
         for t in enumerate_tournaments(n):
-            assert is_strong(t) == validate_strong_landau(score_sequence(t))
+            strong = bool(reachability(t).all())
+            assert validate_strong_landau(score_sequence(t)) == strong
+            assert is_strong(t) == strong
     _passed("criterion 6 (lemma suite)")
 
 

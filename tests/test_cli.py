@@ -6,6 +6,7 @@ from click.testing import CliRunner
 
 from landau.cli import main
 from landau.oracle import enumerate_landau_sequences
+from landau.sequences import down_trace, gr_down_trace, up_trace
 from landau.tournaments import from_arcs, score_sequence
 
 
@@ -195,3 +196,32 @@ class TestCompare:
     def test_text_output(self, runner):
         out = invoke(runner, "compare", "1,1,1,4,4,4").output
         assert "down 3" in out and "gr-down 2" in out
+
+    @pytest.fixture
+    def all_up_to_8(self, tmp_path):
+        seqs = [s for n in range(1, 9) for s in enumerate_landau_sequences(n)]
+        path = tmp_path / "seqs.txt"
+        path.write_text("".join(f"{s}\n" for s in seqs))
+        return seqs, str(path)
+
+    def test_counts_equal_walked_traces(self, runner, all_up_to_8):
+        seqs, path = all_up_to_8
+        result = invoke(runner, "compare", "--file", path, "--format", "json")
+        payloads = [json.loads(line) for line in result.output.splitlines()]
+        assert len(payloads) == len(seqs)
+        for s, payload in zip(seqs, payloads):
+            walked = len(down_trace(s)), len(gr_down_trace(s)), len(up_trace(s))
+            assert (payload["down"], payload["gr_down"], payload["gr_up"]) == walked
+
+    # sha256 of the output for every sequence up to n=8, taken when the
+    # counts were still read off walked traces
+    BATCH_DIGESTS = {
+        "text": "bfe13536969f0c72588171a80a75e53dfdf84e61b92fddd6b1a2730806346908",
+        "json": "80b2b3c368414a6f1b1b546cf13bbab7065279478a76346448364e9687343972",
+    }
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_batch_output_digest(self, runner, all_up_to_8, fmt):
+        _, path = all_up_to_8
+        out = invoke(runner, "compare", "--file", path, "--format", fmt).output
+        assert hashlib.sha256(out.encode()).hexdigest() == self.BATCH_DIGESTS[fmt]

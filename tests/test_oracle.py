@@ -1,17 +1,19 @@
 from itertools import combinations_with_replacement
 from math import comb
 
+import numpy as np
 import pytest
 
 from landau.oracle import (
     CapExceededError,
     enumerate_landau_sequences,
     enumerate_tournaments,
+    reachability,
     realizable_by_brute_force,
     stats,
 )
 from landau.sequences import Order, compare_order, max_c_value, max_down_jumps
-from landau.tournaments import count_3cycles
+from landau.tournaments import count_3cycles, from_arcs
 
 
 def brute_sequences(n):
@@ -130,3 +132,20 @@ class TestStats:
     def test_landau_theorem_counts_agree(self, n):
         st = stats(n)
         assert st.sequence_count == st.realizable_count
+
+
+class TestReachability:
+    def test_transitive_reaches_only_downward(self):
+        t = from_arcs(4, {(i, j) for i in range(4) for j in range(i)})
+        assert (reachability(t) == np.tri(4, dtype=bool)).all()
+
+    def test_three_cycle_reaches_everything(self):
+        assert reachability(from_arcs(3, {(0, 1), (1, 2), (2, 0)})).all()
+
+    def test_long_path_is_followed(self):
+        # 0 -> 1 -> ... -> 5 is the only way from 0 to 5; everything else
+        # points backward
+        arcs = {(i, i + 1) for i in range(5)}
+        arcs |= {(j, i) for i in range(6) for j in range(i + 2, 6)}
+        reach = reachability(from_arcs(6, arcs))
+        assert reach.all()

@@ -7,7 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from landau.oracle import enumerate_landau_sequences, enumerate_tournaments
+from landau.oracle import (
+    enumerate_landau_sequences,
+    enumerate_tournaments,
+    reachability,
+)
 from landau.sequences import (
     LandauSequence,
     Order,
@@ -150,7 +154,9 @@ def test_down_trace_bound_and_maximizers(n):
 @pytest.mark.parametrize("n", range(1, 6))
 def test_strongness_criterion_exhaustive(n):
     for t in enumerate_tournaments(n):
-        assert is_strong(t) == validate_strong_landau(score_sequence(t))
+        strong = bool(reachability(t).all())
+        assert validate_strong_landau(score_sequence(t)) == strong
+        assert is_strong(t) == strong
 
 
 def test_landau_validation_agrees_with_oracle_small():

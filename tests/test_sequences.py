@@ -1,9 +1,16 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from landau.oracle import enumerate_landau_sequences
 from landau.sequences import (
     AlreadyRegular,
     AlreadyTransitive,
     Converged,
+    JumpAlgorithm,
+    JumpStep,
+    JumpTrace,
     LandauSequence,
     Order,
     ViolationKind,
@@ -13,6 +20,7 @@ from landau.sequences import (
     distance,
     down_jump_step,
     down_trace,
+    first_violation,
     gr_down_step,
     gr_down_trace,
     max_c_value,
@@ -69,6 +77,47 @@ class TestValidateLandau:
     def test_direct_construction_rejects_invalid(self):
         with pytest.raises(ValueError):
             LandauSequence((0, 0, 3))
+
+
+class TestScoreInputTypes:
+    @pytest.mark.parametrize(
+        "scores",
+        [
+            (0, 1.7),
+            (0.4, 0.6),
+            (0.0, 1.0),
+            (False, True),
+            (0, True),
+            (np.True_, np.False_),
+            (0, np.float64(1.0)),
+            ("0", "1"),
+            (0, None),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "check", [first_violation, validate_landau, LandauSequence]
+    )
+    def test_non_integer_entries_raise_type_error(self, check, scores):
+        with pytest.raises(TypeError):
+            check(scores)
+
+    @pytest.mark.parametrize(
+        "scores",
+        [
+            np.array([0, 1, 2]),
+            (np.int64(1), np.int32(1), np.uint8(1)),
+            (0, np.int16(1), 2),
+        ],
+    )
+    def test_numpy_integers_are_accepted_as_python_ints(self, scores):
+        s = validate_landau(scores)
+        assert isinstance(s, LandauSequence)
+        assert all(type(x) is int for x in s.scores)
+        assert LandauSequence(scores) == s
+
+    def test_huge_integers_get_a_report(self):
+        report = validate_landau((0, 10**30))
+        assert report.kind is ViolationKind.TOTAL_SUM_MISMATCH
 
 
 class TestValidateStrongLandau:
@@ -266,3 +315,165 @@ class TestCountsAndBounds:
     def test_max_down_jumps_matches_distance(self, n):
         d = distance(regular_sequence(n), transitive_sequence(n))
         assert max_down_jumps(n) == d // 2
+
+
+# The step and trace functions as they were before the shared walk engine,
+# kept verbatim as the reference the engine is compared against.
+
+
+def _reference_down_jump_step(s: LandauSequence) -> JumpStep:
+    t = s.scores
+    n = len(t)
+    if t == regular_sequence(n).scores:
+        raise AlreadyRegular(str(s))
+    p = 1
+    while p < n and t[p] == t[0]:
+        p += 1
+    q = n
+    while q > 1 and t[q - 2] == t[n - 1]:
+        q -= 1
+    after = list(t)
+    after[p - 1] += 1
+    after[q - 1] -= 1
+    return JumpStep(s, LandauSequence(tuple(after)), p, q, JumpAlgorithm.DOWN)
+
+
+def _reference_down_trace(s: LandauSequence) -> JumpTrace:
+    steps = []
+    cur = s
+    target = regular_sequence(s.n)
+    while cur.scores != target.scores:
+        step = _reference_down_jump_step(cur)
+        steps.append(step)
+        cur = step.after
+    return JumpTrace(s, cur, tuple(steps))
+
+
+def _reference_gr_down_step(u: LandauSequence, target: LandauSequence) -> JumpStep:
+    if len(u) != len(target):
+        raise ValueError("sequences must have equal length")
+    if u.scores == target.scores:
+        raise Converged(str(u))
+    alpha = next(
+        i for i, (x, y) in enumerate(zip(u.scores, target.scores), start=1) if x < y
+    )
+    beta = max(i for i, x in enumerate(u.scores, start=1) if x == u.scores[alpha - 1])
+    gamma = next(
+        i for i, (x, y) in enumerate(zip(u.scores, target.scores), start=1) if x > y
+    )
+    after = list(u.scores)
+    after[beta - 1] += 1
+    after[gamma - 1] -= 1
+    return JumpStep(u, LandauSequence(tuple(after)), beta, gamma, JumpAlgorithm.GR_DOWN)
+
+
+def _reference_gr_down_trace(target: LandauSequence) -> JumpTrace:
+    steps = []
+    cur = transitive_sequence(target.n)
+    start = cur
+    while cur.scores != target.scores:
+        step = _reference_gr_down_step(cur, target)
+        steps.append(step)
+        cur = step.after
+    return JumpTrace(start, cur, tuple(steps))
+
+
+def _reference_up_step(s: LandauSequence) -> JumpStep:
+    t = s.scores
+    n = len(t)
+    if t == transitive_sequence(n).scores:
+        raise AlreadyTransitive(str(s))
+    k = next(i for i in range(1, n) if t[i - 1] == t[i])
+    m = t.count(t[k - 1])
+    after = list(t)
+    after[k - 1] -= 1
+    after[k + m - 2] += 1
+    return JumpStep(s, LandauSequence(tuple(after)), k, k + m - 1, JumpAlgorithm.GR_UP)
+
+
+def _reference_up_trace(s: LandauSequence) -> JumpTrace:
+    steps = []
+    cur = s
+    target = transitive_sequence(s.n)
+    while cur.scores != target.scores:
+        step = _reference_up_step(cur)
+        steps.append(step)
+        cur = step.after
+    return JumpTrace(s, cur, tuple(steps))
+
+
+def _fields(st: JumpStep):
+    return st.low, st.high, st.before, st.after, st.algorithm
+
+
+def _outcome(step_fn, *args):
+    """A step's fields, or the type of what it raised."""
+    try:
+        return _fields(step_fn(*args))
+    except Exception as exc:
+        return type(exc)
+
+
+def _assert_walks_match(s: LandauSequence) -> None:
+    walks = [
+        (down_trace, down_jump_step, _reference_down_trace, _reference_down_jump_step),
+        (
+            gr_down_trace,
+            lambda u: gr_down_step(u, s),
+            _reference_gr_down_trace,
+            lambda u: _reference_gr_down_step(u, s),
+        ),
+        (up_trace, up_step, _reference_up_trace, _reference_up_step),
+    ]
+    for trace, step, reference_trace, reference_step in walks:
+        expected = reference_trace(s)
+        # one step at a time along the reference walk first, so a wrong rule
+        # fails at its first wrong step instead of walking without end
+        for u in expected.sequences():
+            assert _outcome(step, u) == _outcome(reference_step, u), (trace, s, u)
+        got = trace(s)
+        assert (got.start, got.end) == (expected.start, expected.end)
+        assert list(map(_fields, got.steps)) == list(map(_fields, expected.steps))
+
+
+@st.composite
+def valid_sequences(draw, max_n=40):
+    """Sorted scores of a drawn tournament on up to ``max_n`` vertices."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    pairs = n * (n - 1) // 2
+    upper = np.zeros((n, n), dtype=bool)
+    upper[np.triu_indices(n, 1)] = draw(
+        st.lists(st.booleans(), min_size=pairs, max_size=pairs)
+    )
+    adj = upper | (~(upper | upper.T) & np.tri(n, n, -1, dtype=bool))
+    return LandauSequence(tuple(sorted(int(x) for x in adj.sum(axis=1))))
+
+
+class TestWalkEngineAgainstReference:
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_every_sequence_up_to_9(self, n):
+        for s in enumerate_landau_sequences(n):
+            _assert_walks_match(s)
+
+    @settings(max_examples=40, deadline=None)
+    @given(valid_sequences())
+    def test_drawn_sequences_up_to_40(self, s):
+        _assert_walks_match(s)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_gr_down_walk_from_every_start_to_every_target(self, n):
+        seqs = enumerate_landau_sequences(n)
+        for target in seqs:
+            for start in seqs:
+                u, ref = start, start
+                while True:
+                    got = _outcome(gr_down_step, u, target)
+                    assert got == _outcome(_reference_gr_down_step, ref, target)
+                    if got is Converged:
+                        break
+                    u = gr_down_step(u, target).after
+                    ref = _reference_gr_down_step(ref, target).after
+
+    def test_gr_down_step_rejects_length_mismatch(self):
+        with pytest.raises(ValueError):
+            gr_down_step(seq(0, 1), seq(1, 1, 1))

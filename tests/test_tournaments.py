@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from landau import tournaments
-from landau.oracle import enumerate_tournaments
+from landau.oracle import enumerate_tournaments, reachability
 from landau.sequences import (
     LandauSequence,
     c_value,
@@ -81,6 +81,27 @@ class TestTournamentInvariants:
         with pytest.raises(MissingPairError):
             Tournament(np.zeros((2, 2), dtype=bool))
 
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            [[0, 2], [0, 0]],
+            [[0, 0.5], [0, 0]],
+            [[0, -1], [0, 0]],
+            [[0, 1], [np.nan, 0]],
+            np.array([[0, 3], [0, 0]], dtype=np.uint8),
+        ],
+    )
+    def test_constructor_rejects_entries_other_than_0_and_1(self, entries):
+        with pytest.raises(ValueError, match="0, 1, False or True"):
+            Tournament(entries)
+
+    @pytest.mark.parametrize(
+        "entries",
+        [[[0, 1], [0, 0]], [[False, True], [False, False]], np.array([[0, 1], [0, 0]])],
+    )
+    def test_constructor_accepts_0_1_and_bool_entries(self, entries):
+        assert Tournament(entries) == from_arcs(2, {(0, 1)})
+
     def test_out_and_in_sets(self):
         t = three_cycle()
         assert t.out_set(0) == (1,)
@@ -120,6 +141,7 @@ class TestRegularConstructions:
     def test_nearly_regular_strong_from_4(self):
         for n in (4, 6, 8, 10):
             assert is_strong(nearly_regular(n))
+            assert reachability(nearly_regular(n)).all()
 
     def test_nearly_regular_rejects_odd(self):
         with pytest.raises(ValueError):
@@ -128,6 +150,7 @@ class TestRegularConstructions:
     def test_rotational_strong_for_odd_n_at_least_3(self):
         for n in (3, 5, 7, 9, 11):
             assert is_strong(rotational_regular(n))
+            assert reachability(rotational_regular(n)).all()
 
 
 class TestStrongComponents:
@@ -158,6 +181,37 @@ class TestStrongComponents:
         assert is_strong(three_cycle())
         assert not is_strong(transitive(3))
         assert is_strong(rotational_regular(7))
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_reachability_on_every_small_tournament(self, n):
+        for t in enumerate_tournaments(n):
+            assert strong_components(t).components == _components_by_reachability(t)
+
+    @pytest.mark.parametrize("n", [7, 10, 20, 40])
+    @pytest.mark.parametrize("p", [0.03, 0.15, 0.5, 0.85, 0.97])
+    def test_matches_reachability_on_relabeled_tournaments(self, n, p):
+        rng = np.random.default_rng(7000 + 100 * n + int(100 * p))
+        sizes = set()
+        for _ in range(5):
+            adj = _random_tournament(n, p, rng)
+            perm = rng.permutation(n)
+            for t in (Tournament(adj), Tournament(adj[np.ix_(perm, perm)])):
+                comps = strong_components(t).components
+                assert comps == _components_by_reachability(t)
+                sizes.update(len(c) for c in comps)
+        assert max(sizes) > 1 or p in (0.03, 0.97)
+
+
+def _components_by_reachability(t: Tournament):
+    """Mutual-reachability classes, ids ascending, terminal class first.
+
+    A class that reaches fewer vertices comes earlier; in a tournament the
+    condensation is a total order, so this is the condensation order.
+    """
+    reach = reachability(t)
+    mutual = reach & reach.T
+    classes = {tuple(int(v) for v in np.flatnonzero(row)) for row in mutual}
+    return tuple(sorted(classes, key=lambda c: int(reach[c[0]].sum())))
 
 
 class TestFindPath:
@@ -244,6 +298,7 @@ class TestRealize:
         assert len(stages) == 7  # max_down_jumps(8) + 1
         for t in stages[:-1]:
             assert is_strong(t)
+            assert reachability(t).all()
         assert score_sequence(stages[-1]) == s
 
     def test_single_vertex(self):
