@@ -12,29 +12,28 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import asdict
-from typing import List, Tuple
+from itertools import islice
+from typing import Iterator, List, Sequence, Tuple
 
 import click
 
 from . import oracle
 from .sequences import (
-    JumpTrace,
+    JumpAlgorithm,
     LandauSequence,
+    _walk,
+    _walk_plan,
     c_value,
     distance,
-    down_trace,
     first_equality_index,
-    gr_down_trace,
     regular_sequence,
     transitive_sequence,
-    up_trace,
     validate_landau,
     validate_strong_landau,
 )
 from .tournaments import Tournament, realize as realize_tournament
 
 TOURNAMENT_FORMATS = ("text", "json", "dot", "matrix", "arclist")
-TRACES = {"down": down_trace, "gr-down": gr_down_trace, "gr-up": up_trace}
 
 
 def _parse_literal(text: str) -> Tuple[int, ...]:
@@ -164,28 +163,35 @@ def realize(sequence, file_, fmt):
         click.echo(_render_tournament(t, fmt), nl=False)
 
 
-def _render_trace_text(trace: JumpTrace) -> str:
-    lines = [f"start: {trace.start}"]
-    for i, step in enumerate(trace.steps, start=1):
-        lines.append(f"step {i}: low={step.low} high={step.high} -> {step.after}")
-    lines.append(f"end: {trace.end}")
-    return "\n".join(lines) + "\n"
+def _trace_text(
+    start: LandauSequence, end: LandauSequence, pairs: Iterator, scores: List[int]
+) -> Iterator[str]:
+    yield f"start: {start}\n"
+    for i, (low, high) in enumerate(pairs, start=1):
+        yield f"step {i}: low={low} high={high} -> {_seq_str(scores)}\n"
+    yield f"end: {end}\n"
 
 
-def _render_trace_json(trace: JumpTrace) -> str:
-    return (
-        json.dumps(
-            {
-                "start": list(trace.start.scores),
-                "end": list(trace.end.scores),
-                "steps": [
-                    {"seq": list(step.after.scores), "low": step.low, "high": step.high}
-                    for step in trace.steps
-                ],
-            }
-        )
-        + "\n"
-    )
+def _json_ints(scores: Sequence[int]) -> str:
+    return json.dumps(list(scores))
+
+
+def _trace_json(
+    start: LandauSequence, end: LandauSequence, pairs: Iterator, scores: List[int]
+) -> Iterator[str]:
+    # the bytes json.dumps gives for {"start", "end", "steps"}, one step at a time
+    yield f'{{"start": {_json_ints(start)}, "end": {_json_ints(end)}, "steps": ['
+    sep = ""
+    for low, high in pairs:
+        yield f'{sep}{{"seq": {_json_ints(scores)}, "low": {low}, "high": {high}}}'
+        sep = ", "
+    yield "]}\n"
+
+
+def _echo_stream(pieces: Iterator[str]) -> None:
+    """Echo text as it is made; one echo (a write and a flush) per 1024 pieces."""
+    for chunk in iter(lambda: "".join(islice(pieces, 1024)), ""):
+        click.echo(chunk, nl=False)
 
 
 @main.command()
@@ -193,7 +199,7 @@ def _render_trace_json(trace: JumpTrace) -> str:
 @click.option("--file", "file_", type=click.Path(exists=True, dir_okay=False))
 @click.option(
     "--algorithm",
-    type=click.Choice(list(TRACES)),
+    type=click.Choice([a.value for a in JumpAlgorithm]),
     default="down",
     help="down: jump to the regular sequence; gr-down: from the transitive "
     "sequence to the input; gr-up: jump to the transitive sequence.",
@@ -201,10 +207,14 @@ def _render_trace_json(trace: JumpTrace) -> str:
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
 def trace(sequence, file_, algorithm, fmt):
     """Print the jump trace of one of the three algorithms."""
+    render = _trace_json if fmt == "json" else _trace_text
     for literal in _gather_literals(sequence, file_):
-        tr = TRACES[algorithm](_require_valid(_parse_literal(literal)))
-        text = _render_trace_json(tr) if fmt == "json" else _render_trace_text(tr)
-        click.echo(text, nl=False)
+        s = _require_valid(_parse_literal(literal))
+        rule, start, end = _walk_plan(JumpAlgorithm(algorithm), s)
+        # each step is written as the walk makes it, from the list it moves
+        scores = list(start.scores)
+        pairs = _walk(rule, scores, list(end.scores))
+        _echo_stream(render(start, end, pairs, scores))
 
 
 @main.command("enumerate")

@@ -19,8 +19,10 @@ import numpy as np
 from .sequences import (
     LandauSequence,
     ScoreVector,
+    _down_rule,
+    _walk,
     c_value,
-    down_trace,
+    regular_sequence,
 )
 from .tournaments import Tournament
 
@@ -142,10 +144,15 @@ def stats(n: int) -> EnumerationStats:
     realizable = None
     if n <= TOURNAMENT_CAP:
         realizable = sum(1 for s in seqs if realizable_by_brute_force(s.scores))
+    # walk every down trace for real, counting its pairs without building steps
+    target = list(regular_sequence(n).scores)
+    max_trace_length = max(
+        sum(1 for _ in _walk(_down_rule, list(s.scores), target)) for s in seqs
+    )
     return EnumerationStats(
         n=n,
         sequence_count=len(seqs),
         realizable_count=realizable,
-        max_trace_length=max(len(down_trace(s)) for s in seqs),
+        max_trace_length=max_trace_length,
         max_c=max(c_value(s) for s in seqs),
     )

@@ -19,7 +19,9 @@ import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import partial
+from itertools import accumulate, compress, count, repeat
 from math import comb
+from operator import gt, lt
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
 #: Raw, unvalidated score input: any sequence of integers of length >= 1.
@@ -62,39 +64,53 @@ class ViolationReport:
         return f"total {self.observed} != {self.required}"
 
 
+def _first_true(flags: Iterator[bool]) -> Optional[int]:
+    """1-based position of the first true flag, or None; the scan runs in C."""
+    return next(compress(count(1), flags), None)
+
+
+def _int_scores(v: ScoreVector) -> tuple:
+    """The entries of ``v`` as Python ints; bools and non-integers raise TypeError."""
+    scores = tuple(v)
+    if bool in map(type, scores):  # bool has no subclasses
+        raise TypeError("scores must be integers, not bools")
+    return tuple(map(operator.index, scores))
+
+
+def _violation(scores: tuple) -> Optional[ViolationReport]:
+    """First violation of Landau's conditions by a tuple of Python ints."""
+    n = len(scores)
+    if not n:
+        raise ValueError("score vector must have length >= 1")
+    if min(scores) < 0:
+        k = _first_true(map(lt, scores, repeat(0)))
+        return ViolationReport(ViolationKind.NEGATIVE, k, scores[k - 1], 0)
+    if list(scores) != sorted(scores):
+        k = _first_true(map(lt, scores[1:], scores))
+        return ViolationReport(
+            ViolationKind.NOT_NON_DECREASING, k + 1, scores[k], scores[k - 1]
+        )
+    # the prefix sums against C(k,2) = 0 + 1 + ... + (k-1)
+    k = _first_true(map(lt, accumulate(scores), accumulate(range(n))))
+    if k is not None:
+        return ViolationReport(
+            ViolationKind.PREFIX_SUM_DEFICIT, k, sum(scores[:k]), comb(k, 2)
+        )
+    total = sum(scores)
+    if total != comb(n, 2):
+        return ViolationReport(ViolationKind.TOTAL_SUM_MISMATCH, n, total, comb(n, 2))
+    return None
+
+
 def first_violation(v: ScoreVector) -> Optional[ViolationReport]:
     """Return the first violation of Landau's conditions, or None if valid.
 
     Raises ``TypeError`` when an entry is a bool or not an integer.
     """
-    scores = tuple(v)
-    if any(isinstance(s, bool) for s in scores):
-        raise TypeError("scores must be integers, not bools")
-    scores = tuple(map(operator.index, scores))
-    if not scores:
-        raise ValueError("score vector must have length >= 1")
-    for i, s in enumerate(scores, start=1):
-        if s < 0:
-            return ViolationReport(ViolationKind.NEGATIVE, i, s, 0)
-    for i in range(1, len(scores)):
-        if scores[i] < scores[i - 1]:
-            return ViolationReport(
-                ViolationKind.NOT_NON_DECREASING, i + 1, scores[i], scores[i - 1]
-            )
-    prefix = 0
-    for k, s in enumerate(scores, start=1):
-        prefix += s
-        if prefix < comb(k, 2):
-            return ViolationReport(
-                ViolationKind.PREFIX_SUM_DEFICIT, k, prefix, comb(k, 2)
-            )
-    n = len(scores)
-    if prefix != comb(n, 2):
-        return ViolationReport(ViolationKind.TOTAL_SUM_MISMATCH, n, prefix, comb(n, 2))
-    return None
+    return _violation(_int_scores(v))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LandauSequence:
     """A non-decreasing integer tuple satisfying Landau's conditions.
 
@@ -106,16 +122,18 @@ class LandauSequence:
     scores: tuple
 
     def __post_init__(self):
-        report = first_violation(self.scores)
+        scores = _int_scores(self.scores)
+        report = _violation(scores)
         if report is not None:
             raise ValueError(report.message)
-        object.__setattr__(self, "scores", tuple(map(operator.index, self.scores)))
+        _set_scores(self, scores)
 
     @classmethod
     def _trusted(cls, scores: tuple) -> "LandauSequence":
-        # Jumps keep sequences valid (a theorem the tests certify): no re-check.
+        # Python-int scores known to be valid (checked, a closed form, or a
+        # jump's result, which the tests certify): set the slot, no re-check.
         self = object.__new__(cls)
-        object.__setattr__(self, "scores", scores)
+        _set_scores(self, scores)
         return self
 
     @property
@@ -135,12 +153,16 @@ class LandauSequence:
         return ",".join(str(s) for s in self.scores)
 
 
+_set_scores = LandauSequence.scores.__set__
+
+
 def validate_landau(v: ScoreVector) -> Union[LandauSequence, ViolationReport]:
     """Check Landau's conditions; return the validated sequence or a report."""
-    report = first_violation(v)
+    scores = _int_scores(v)
+    report = _violation(scores)
     if report is not None:
         return report
-    return LandauSequence(tuple(v))
+    return LandauSequence._trusted(scores)
 
 
 def validate_strong_landau(s: LandauSequence) -> bool:
@@ -174,9 +196,9 @@ def regular_sequence(n: int) -> LandauSequence:
     if n < 1:
         raise ValueError("n must be >= 1")
     if n % 2 == 1:
-        return LandauSequence(((n - 1) // 2,) * n)
+        return LandauSequence._trusted(((n - 1) // 2,) * n)
     half = n // 2
-    return LandauSequence(((n - 2) // 2,) * half + (half,) * half)
+    return LandauSequence._trusted(((n - 2) // 2,) * half + (half,) * half)
 
 
 def transitive_sequence(n: int) -> LandauSequence:
@@ -186,7 +208,7 @@ def transitive_sequence(n: int) -> LandauSequence:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    return LandauSequence(tuple(range(n)))
+    return LandauSequence._trusted(tuple(range(n)))
 
 
 class Order(enum.IntEnum):
@@ -238,7 +260,7 @@ class Converged(Exception):
     """Target-directed jump requested when already at the target."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class JumpStep:
     """One jump: two positions move by +1/-1, shifting the order by one jump.
 
@@ -251,6 +273,22 @@ class JumpStep:
     low: int
     high: int
     algorithm: JumpAlgorithm
+
+    @classmethod
+    def _trusted(cls, before, after, low, high, algorithm) -> "JumpStep":
+        # A walk's own step: set the slots directly, skipping the frozen
+        # __init__ and its five object.__setattr__ calls.
+        self = object.__new__(cls)
+        set_before, set_after, set_low, set_high, set_algorithm = _STEP_SLOTS
+        set_before(self, before)
+        set_after(self, after)
+        set_low(self, low)
+        set_high(self, high)
+        set_algorithm(self, algorithm)
+        return self
+
+
+_STEP_SLOTS = tuple(getattr(JumpStep, name).__set__ for name in JumpStep.__slots__)
 
 
 @dataclass(frozen=True)
@@ -271,7 +309,10 @@ class JumpTrace:
             yield step.after
 
 
-# Step rules of down_jump_step, gr_down_step and up_step; run ends by bisect.
+# Step rules of down_jump_step, gr_down_step and up_step.  Each moves one unit
+# of score in a sorted list, in place, and returns the 1-based (low, high)
+# positions it moved.  Run ends are found by bisect; the other scans run in C
+# or are amortized over the walk.
 def _down_rule(a: List[int]) -> Tuple[int, int]:
     p = bisect_right(a, a[0])
     q = bisect_left(a, a[-1]) + 1
@@ -281,20 +322,35 @@ def _down_rule(a: List[int]) -> Tuple[int, int]:
 
 
 def _gr_down_rule(target: Sequence[int], a: List[int]) -> Tuple[int, int]:
-    alpha = next(i for i, (x, y) in enumerate(zip(a, target)) if x < y)
-    gamma = next(i for i, (x, y) in enumerate(zip(a, target), start=1) if x > y)
-    beta = bisect_right(a, a[alpha])
+    alpha = _first_true(map(lt, a, target))
+    gamma = _first_true(map(gt, a, target))
+    beta = bisect_right(a, a[alpha - 1])
     a[beta - 1] += 1
     a[gamma - 1] -= 1
     return beta, gamma
 
 
-def _up_rule(a: List[int]) -> Tuple[int, int]:
-    k = next(i for i in range(1, len(a)) if a[i - 1] == a[i])
-    last = bisect_right(a, a[k - 1])
-    a[k - 1] -= 1
-    a[last - 1] += 1
-    return k, last
+def _up_rule() -> Callable[[List[int]], Tuple[int, int]]:
+    """A fresh up rule for one walk, with the scan for k amortized over it.
+
+    A step lowers position k and raises one after it, so positions before
+    k-1 stay strictly increasing and the next step's k is k-1 or later: each
+    scan restarts there, and the scans of a whole walk take O(steps + n).
+    """
+    k = 1
+
+    def rule(a: List[int]) -> Tuple[int, int]:
+        nonlocal k
+        while a[k - 1] != a[k]:
+            k += 1
+        low, high = k, bisect_right(a, a[k - 1])
+        a[low - 1] -= 1
+        a[high - 1] += 1
+        if k > 1:
+            k -= 1
+        return low, high
+
+    return rule
 
 
 def _walk(rule: Callable, scores: List[int], target: List[int]) -> Iterator[tuple]:
@@ -308,19 +364,35 @@ def _walk(rule: Callable, scores: List[int], target: List[int]) -> Iterator[tupl
         yield rule(scores)
 
 
+def _walk_plan(
+    algorithm: JumpAlgorithm, s: LandauSequence
+) -> Tuple[Callable, LandauSequence, LandauSequence]:
+    """The rule, start and end of the trace of ``algorithm`` for ``s``.
+
+    down walks from s to R_n, gr-down from Tr_n to s, gr-up from s to Tr_n.
+    """
+    if algorithm is JumpAlgorithm.DOWN:
+        return _down_rule, s, regular_sequence(s.n)
+    if algorithm is JumpAlgorithm.GR_DOWN:
+        return partial(_gr_down_rule, s.scores), transitive_sequence(s.n), s
+    return _up_rule(), s, transitive_sequence(s.n)
+
+
 def _step(algorithm: JumpAlgorithm, rule: Callable, s: LandauSequence) -> JumpStep:
     scores = list(s.scores)
     low, high = rule(scores)
-    return JumpStep(s, LandauSequence._trusted(tuple(scores)), low, high, algorithm)
+    after = LandauSequence._trusted(tuple(scores))
+    return JumpStep._trusted(s, after, low, high, algorithm)
 
 
-def _trace(
-    algorithm: JumpAlgorithm, rule: Callable, start: LandauSequence, target: tuple
-) -> JumpTrace:
+def _trace(algorithm: JumpAlgorithm, s: LandauSequence) -> JumpTrace:
+    rule, start, end = _walk_plan(algorithm, s)
+    new_sequence, new_step = LandauSequence._trusted, JumpStep._trusted
     scores, steps, before = list(start.scores), [], start
-    for low, high in _walk(rule, scores, list(target)):
-        after = LandauSequence._trusted(tuple(scores))
-        steps.append(JumpStep(before, after, low, high, algorithm))
+    append = steps.append
+    for low, high in _walk(rule, scores, list(end.scores)):
+        after = new_sequence(tuple(scores))
+        append(new_step(before, after, low, high, algorithm))
         before = after
     return JumpTrace(start, before, tuple(steps))
 
@@ -340,7 +412,7 @@ def down_jump_step(s: LandauSequence) -> JumpStep:
 
 def down_trace(s: LandauSequence) -> JumpTrace:
     """Iterate down jumps until the regular sequence; d(s, R)/2 steps."""
-    return _trace(JumpAlgorithm.DOWN, _down_rule, s, regular_sequence(s.n).scores)
+    return _trace(JumpAlgorithm.DOWN, s)
 
 
 def gr_down_step(u: LandauSequence, target: LandauSequence) -> JumpStep:
@@ -359,9 +431,7 @@ def gr_down_step(u: LandauSequence, target: LandauSequence) -> JumpStep:
 
 def gr_down_trace(target: LandauSequence) -> JumpTrace:
     """Jump down from the transitive sequence to ``target``; d(Tr, target)/2 steps."""
-    rule = partial(_gr_down_rule, target.scores)
-    start = transitive_sequence(target.n)
-    return _trace(JumpAlgorithm.GR_DOWN, rule, start, target.scores)
+    return _trace(JumpAlgorithm.GR_DOWN, target)
 
 
 def up_step(s: LandauSequence) -> JumpStep:
@@ -372,12 +442,12 @@ def up_step(s: LandauSequence) -> JumpStep:
     """
     if s.scores == transitive_sequence(s.n).scores:
         raise AlreadyTransitive(str(s))
-    return _step(JumpAlgorithm.GR_UP, _up_rule, s)
+    return _step(JumpAlgorithm.GR_UP, _up_rule(), s)
 
 
 def up_trace(s: LandauSequence) -> JumpTrace:
     """Iterate up jumps until the transitive sequence; c_value(s) steps."""
-    return _trace(JumpAlgorithm.GR_UP, _up_rule, s, transitive_sequence(s.n).scores)
+    return _trace(JumpAlgorithm.GR_UP, s)
 
 
 def c_value(s: LandauSequence) -> int:

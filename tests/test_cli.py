@@ -6,7 +6,7 @@ from click.testing import CliRunner
 
 from landau.cli import main
 from landau.oracle import enumerate_landau_sequences
-from landau.sequences import down_trace, gr_down_trace, up_trace
+from landau.sequences import down_trace, gr_down_trace, up_trace, validate_landau
 from landau.tournaments import from_arcs, score_sequence
 
 
@@ -147,6 +147,56 @@ class TestTrace:
 
     def test_invalid_sequence_exit_1(self, runner):
         assert invoke(runner, "trace", "0,0,3").exit_code == 1
+
+    @pytest.fixture
+    def batch(self, tmp_path):
+        seqs = [str(s) for n in range(1, 8) for s in enumerate_landau_sequences(n)]
+        seqs += [
+            ",".join(map(str, range(40))),
+            ",".join(["20"] * 41),
+            ",".join(["19"] * 20 + ["20"] * 20),
+        ]
+        path = tmp_path / "seqs.txt"
+        path.write_text("".join(f"{s}\n" for s in seqs))
+        return str(path)
+
+    # sha256 of the output for every sequence up to n=7, then Tr_40, R_41 and
+    # R_40, taken when the whole trace was built before it was printed
+    BATCH_DIGESTS = {
+        ("down", "text"): "b1b3f5d66102348a65b3d2f66ce6db89cf48d8819c8c912ebe2e5f21d6efa8c6",
+        ("down", "json"): "fac4667190d22bb43a46d06b02283591feade8ba667e31d3b71195d8b00916cd",
+        ("gr-down", "text"): "d27358c48b7ad96bb4bcdf664bc199ded19076457c37c241679a93c55286050b",
+        ("gr-down", "json"): "c8891f8617b4cd12807aec52e8a0efa2d086f7603535e44108e2f00cfbe9e0c9",
+        ("gr-up", "text"): "a6455d421fc7b6101c7f4fea509c04dbee416804152e4174c213cdd813b5c15a",
+        ("gr-up", "json"): "2ffab9926320165e45b02dd3c4d7951f12e6ce6c96b8840509250cececf8e478",
+    }
+
+    @pytest.mark.parametrize("algorithm,fmt", list(BATCH_DIGESTS))
+    def test_batch_output_digest(self, runner, batch, algorithm, fmt):
+        result = invoke(
+            runner, "trace", "--file", batch, "--algorithm", algorithm, "--format", fmt
+        )
+        assert result.exit_code == 0
+        digest = hashlib.sha256(result.output.encode()).hexdigest()
+        assert digest == self.BATCH_DIGESTS[algorithm, fmt]
+
+    @pytest.mark.parametrize(
+        "algorithm,walk",
+        [("down", down_trace), ("gr-down", gr_down_trace), ("gr-up", up_trace)],
+    )
+    def test_json_steps_equal_the_library_trace(self, runner, algorithm, walk):
+        s = validate_landau((5,) * 11)
+        result = invoke(
+            runner, "trace", str(s), "--algorithm", algorithm, "--format", "json"
+        )
+        payload = json.loads(result.output)
+        tr = walk(s)
+        assert payload["start"] == list(tr.start.scores)
+        assert payload["end"] == list(tr.end.scores)
+        assert payload["steps"] == [
+            {"seq": list(st.after.scores), "low": st.low, "high": st.high}
+            for st in tr.steps
+        ]
 
 
 class TestEnumerate:

@@ -12,7 +12,13 @@ from landau.oracle import (
     realizable_by_brute_force,
     stats,
 )
-from landau.sequences import Order, compare_order, max_c_value, max_down_jumps
+from landau.sequences import (
+    Order,
+    compare_order,
+    down_trace,
+    max_c_value,
+    max_down_jumps,
+)
 from landau.tournaments import count_3cycles, from_arcs
 
 
@@ -127,6 +133,11 @@ class TestStats:
         assert st.sequence_count == 1
         assert st.max_trace_length == 0
         assert st.max_c == 0
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_max_trace_length_is_the_longest_down_trace(self, n):
+        longest = max(len(down_trace(s)) for s in enumerate_landau_sequences(n))
+        assert stats(n).max_trace_length == longest
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_landau_theorem_counts_agree(self, n):

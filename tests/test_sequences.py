@@ -1,3 +1,8 @@
+import pickle
+from dataclasses import FrozenInstanceError
+from itertools import product
+from math import comb
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -120,6 +125,42 @@ class TestScoreInputTypes:
         assert report.kind is ViolationKind.TOTAL_SUM_MISMATCH
 
 
+def _reference_first_violation(scores):
+    """The per-entry loops of the validator before its scans moved to C."""
+    for i, s in enumerate(scores, start=1):
+        if s < 0:
+            return ViolationReport(ViolationKind.NEGATIVE, i, s, 0)
+    for i in range(1, len(scores)):
+        if scores[i] < scores[i - 1]:
+            return ViolationReport(
+                ViolationKind.NOT_NON_DECREASING, i + 1, scores[i], scores[i - 1]
+            )
+    prefix = 0
+    for k, s in enumerate(scores, start=1):
+        prefix += s
+        if prefix < comb(k, 2):
+            return ViolationReport(
+                ViolationKind.PREFIX_SUM_DEFICIT, k, prefix, comb(k, 2)
+            )
+    n = len(scores)
+    if prefix != comb(n, 2):
+        return ViolationReport(ViolationKind.TOTAL_SUM_MISMATCH, n, prefix, comb(n, 2))
+    return None
+
+
+class TestFirstViolationAgainstReference:
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_every_vector_with_entries_from_minus_1_to_n(self, n):
+        for scores in product(range(-1, n + 1), repeat=n):
+            assert first_violation(scores) == _reference_first_violation(scores)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(min_value=-3, max_value=40), min_size=1, max_size=40))
+    def test_drawn_vectors(self, scores):
+        for v in (scores, sorted(scores)):
+            assert first_violation(v) == _reference_first_violation(tuple(v))
+
+
 class TestValidateStrongLandau:
     def test_three_cycle_sequence_is_strong(self):
         assert validate_strong_landau(seq(1, 1, 1))
@@ -154,6 +195,54 @@ class TestRegularTransitive:
             regular_sequence(0)
         with pytest.raises(ValueError):
             transitive_sequence(0)
+
+    def test_closed_forms_are_valid_up_to_200(self):
+        # both are built without the Landau check, so check them here
+        for n in range(1, 201):
+            for s in (regular_sequence(n), transitive_sequence(n)):
+                assert first_violation(s.scores) is None
+                assert all(type(x) is int for x in s.scores)
+                assert LandauSequence(s.scores) == s
+
+
+class TestSlottedValues:
+    def values(self):
+        s = LandauSequence((0, 1, 2))
+        step = down_jump_step(s)
+        return s, step, down_trace(s)
+
+    def test_frozen_without_dict(self):
+        s, step, _ = self.values()
+        for obj, name in [(s, "scores"), (step, "low"), (step, "after")]:
+            with pytest.raises(FrozenInstanceError):
+                setattr(obj, name, None)
+            with pytest.raises(FrozenInstanceError):
+                delattr(obj, name)
+        for obj in (s, step):
+            assert not hasattr(obj, "__dict__")
+            # a name that is not a field: CPython's frozen slotted dataclasses
+            # raise TypeError from their __setattr__ instead
+            with pytest.raises((FrozenInstanceError, TypeError)):
+                obj.extra = None
+
+    def test_eq_hash_repr_unchanged(self):
+        s, step, trace = self.values()
+        assert s == LandauSequence._trusted((0, 1, 2)) == seq(0, 1, 2)
+        assert hash(s) == hash(((0, 1, 2),))
+        assert repr(s) == "LandauSequence(scores=(0, 1, 2))"
+        assert step == JumpStep(s, seq(1, 1, 1), 1, 3, JumpAlgorithm.DOWN)
+        assert hash(step) == hash((s, seq(1, 1, 1), 1, 3, JumpAlgorithm.DOWN))
+        assert repr(step) == (
+            "JumpStep(before=LandauSequence(scores=(0, 1, 2)), "
+            "after=LandauSequence(scores=(1, 1, 1)), low=1, high=3, "
+            "algorithm=<JumpAlgorithm.DOWN: 'down'>)"
+        )
+        assert trace.steps == (step,)
+
+    def test_pickle_round_trip(self):
+        for obj in self.values():
+            copy = pickle.loads(pickle.dumps(obj))
+            assert copy == obj and repr(copy) == repr(obj)
 
 
 class TestCompareOrder:
@@ -473,6 +562,15 @@ class TestWalkEngineAgainstReference:
                         break
                     u = gr_down_step(u, target).after
                     ref = _reference_gr_down_step(ref, target).after
+
+    @pytest.mark.parametrize("n", [50, 64])
+    def test_larger_regular_and_random_sequences(self, n):
+        # long up walks, so the amortized scan for k restarts many times
+        upper = np.triu(np.random.default_rng(n).random((n, n)) < 0.5, k=1)
+        adj = upper | (~(upper | upper.T) & np.tri(n, n, -1, dtype=bool))
+        drawn = LandauSequence(tuple(sorted(int(x) for x in adj.sum(axis=1))))
+        for s in (regular_sequence(n), drawn):
+            _assert_walks_match(s)
 
     def test_gr_down_step_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
