@@ -3,8 +3,10 @@
 Subcommands: validate, realize, trace, enumerate, compare.  Sequences are
 given as a comma- or whitespace-separated literal argument, or one per line
 via --file for batch runs.  Results go to stdout, diagnostics to stderr.
-Exit codes: 0 success, 1 domain failure (invalid sequence, cap exceeded),
-2 usage or parse error.
+Exit codes: 0 success, 1 domain failure (invalid sequence, or a cap
+exceeded: ``enumerate`` above its order limit, ``realize`` on more than
+``REALIZE_CAP`` scores), 2 usage or parse error (including a --file that is
+not UTF-8 text).
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from itertools import islice
 from typing import Iterator, List, Sequence, Tuple
 
 import click
+import numpy as np
 
 from . import oracle
 from .sequences import (
@@ -34,6 +37,11 @@ from .sequences import (
 from .tournaments import Tournament, realize as realize_tournament
 
 TOURNAMENT_FORMATS = ("text", "json", "dot", "matrix", "arclist")
+
+#: Longest sequence ``landau realize`` accepts: the realized tournament is an
+#: n x n boolean matrix, n^2 bytes (100 MB at the cap), and the replay makes
+#: up to n^2/8 path reversals.  Longer input exits 1 before anything is built.
+REALIZE_CAP = 10_000
 
 
 def _parse_literal(text: str) -> Tuple[int, ...]:
@@ -54,8 +62,12 @@ def _gather_literals(sequence, file_) -> List[str]:
         sys.exit(2)
     if sequence is not None:
         return [sequence]
-    with open(file_) as fh:
-        literals = [line.strip() for line in fh if line.strip()]
+    try:
+        with open(file_, encoding="utf-8") as fh:
+            literals = [line.strip() for line in fh if line.strip()]
+    except UnicodeDecodeError as exc:
+        click.echo(f"error: {file_} is not UTF-8 text: {exc}", err=True)
+        sys.exit(2)
     if not literals:
         click.echo(f"error: no sequences in {file_}", err=True)
         sys.exit(2)
@@ -72,6 +84,10 @@ def _require_valid(raw: Tuple[int, ...]) -> LandauSequence:
 
 def _seq_str(scores) -> str:
     return ",".join(str(x) for x in scores)
+
+
+def _json_ints(scores: Sequence[int]) -> str:
+    return json.dumps(list(scores))
 
 
 @click.group()
@@ -111,22 +127,43 @@ def validate(sequence, file_, strong, fmt):
     sys.exit(1 if failed else 0)
 
 
+def _out_rows(t: Tournament) -> Iterator[Tuple[str, List[str]]]:
+    """Each vertex that beats someone, as a label with the labels it beats."""
+    labels = [str(i) for i in range(t.n)]
+    for i, row in enumerate(t.adjacency):
+        losers = np.flatnonzero(row).tolist()
+        if losers:
+            yield labels[i], [labels[j] for j in losers]
+
+
 def _render_arclist(t: Tournament) -> str:
-    return "".join(f"{i} {j}\n" for i, j in t.arcs())
-
-
-def _render_matrix(t: Tournament) -> str:
+    # "i j\n" per arc, one join per row
     return "".join(
-        "".join("1" if t.beats(i, j) else "0" for j in range(t.n)) + "\n"
-        for i in range(t.n)
+        f"{i} " + f"\n{i} ".join(losers) + "\n" for i, losers in _out_rows(t)
     )
 
 
+def _render_matrix(t: Tournament) -> str:
+    digits = t.adjacency.view(np.uint8) + ord("0")
+    newlines = np.full((t.n, 1), ord("\n"), dtype=np.uint8)
+    return np.hstack([digits, newlines]).tobytes().decode("ascii")
+
+
 def _render_dot(t: Tournament) -> str:
-    lines = ["digraph {"]
-    lines.extend(f"  {i} -> {j};" for i, j in t.arcs())
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    arcs = "".join(
+        f"  {i} -> " + f";\n  {i} -> ".join(losers) + ";\n"
+        for i, losers in _out_rows(t)
+    )
+    return "digraph {\n" + arcs + "}\n"
+
+
+def _render_json(t: Tournament) -> str:
+    # the bytes json.dumps gives for {"n", "scores", "arcs"}, one join per row
+    arcs = ", ".join(
+        f"[{i}, " + f"], [{i}, ".join(losers) + "]" for i, losers in _out_rows(t)
+    )
+    scores = _json_ints(t.scores().tolist())
+    return f'{{"n": {t.n}, "scores": {scores}, "arcs": [{arcs}]}}\n'
 
 
 def _render_tournament(t: Tournament, fmt: str) -> str:
@@ -137,17 +174,8 @@ def _render_tournament(t: Tournament, fmt: str) -> str:
     if fmt == "dot":
         return _render_dot(t)
     if fmt == "json":
-        return (
-            json.dumps(
-                {
-                    "n": t.n,
-                    "scores": [int(x) for x in t.scores()],
-                    "arcs": [[i, j] for i, j in t.arcs()],
-                }
-            )
-            + "\n"
-        )
-    scores = _seq_str(int(x) for x in t.scores())
+        return _render_json(t)
+    scores = _seq_str(t.scores().tolist())
     return f"n={t.n}\nscores: {scores}\n" + _render_arclist(t)
 
 
@@ -158,8 +186,15 @@ def _render_tournament(t: Tournament, fmt: str) -> str:
 def realize(sequence, file_, fmt):
     """Construct a tournament realizing the given score sequence."""
     for literal in _gather_literals(sequence, file_):
-        s = _require_valid(_parse_literal(literal))
-        t = realize_tournament(s)
+        raw = _parse_literal(literal)
+        if len(raw) > REALIZE_CAP:
+            click.echo(
+                f"error: sequence of length {len(raw)} exceeds the realize cap "
+                f"of {REALIZE_CAP}",
+                err=True,
+            )
+            sys.exit(1)
+        t = realize_tournament(_require_valid(raw))
         click.echo(_render_tournament(t, fmt), nl=False)
 
 
@@ -170,10 +205,6 @@ def _trace_text(
     for i, (low, high) in enumerate(pairs, start=1):
         yield f"step {i}: low={low} high={high} -> {_seq_str(scores)}\n"
     yield f"end: {end}\n"
-
-
-def _json_ints(scores: Sequence[int]) -> str:
-    return json.dumps(list(scores))
 
 
 def _trace_json(

@@ -5,7 +5,8 @@ boolean matrix where entry (i, j) means "i beats j".  The centerpiece is
 :func:`realize`, which builds an explicit tournament with any prescribed
 valid score sequence by running the down-jump walk on the sequence and then
 replaying it in reverse as a series of path reversals starting from a
-regular or nearly-regular tournament.
+regular or nearly-regular tournament.  The replay works on bit rows, one
+Python int per out-set, and builds the boolean matrix once at the end.
 """
 
 from __future__ import annotations
@@ -182,28 +183,55 @@ def score_sequence(t: Tournament) -> LandauSequence:
     return result
 
 
-def _rotational_matrix(n: int) -> np.ndarray:
+def _rotational_rows(n: int) -> List[int]:
     # n odd: vertex i beats i+1, ..., i+(n-1)/2 (mod n)
-    adj = np.zeros((n, n), dtype=bool)
-    idx = np.arange(n)
-    for x in range(1, (n - 1) // 2 + 1):
-        adj[idx, (idx + x) % n] = True
-    return adj
+    full = (1 << n) - 1
+    block = (1 << (n - 1) // 2) - 1
+    rows = []
+    for i in range(n):
+        wins = block << (i + 1)
+        rows.append((wins | wins >> n) & full)
+    return rows
 
 
-def _nearly_regular_matrix(n: int) -> np.ndarray:
-    # n even: delete the last vertex of the rotational (n+1)-tournament,
-    # then relabel so scores are non-decreasing in vertex id
-    adj = _rotational_matrix(n + 1)[:n, :n].copy()
-    perm = np.argsort(adj.sum(axis=1), kind="stable")
-    return adj[np.ix_(perm, perm)]
+def _nearly_regular_rows(n: int) -> List[int]:
+    # n even: delete the last vertex of the rotational (n+1)-tournament; its
+    # n/2 in-neighbours n/2..n-1 drop to score n/2-1, so the stable sort by
+    # score is the relabeling i -> (i + n/2) mod n, a rotation of every row
+    full = (1 << n) - 1
+    h = n // 2
+    old = [row & full for row in _rotational_rows(n + 1)[:n]]
+    rows = []
+    for i in range(n):
+        row = old[(i + h) % n]
+        rows.append((row >> h | row << (n - h)) & full)
+    return rows
+
+
+def _base_rows(n: int) -> List[int]:
+    return _rotational_rows(n) if n % 2 == 1 else _nearly_regular_rows(n)
+
+
+def _rows(adj: np.ndarray) -> List[int]:
+    """Out-sets as ints: bit j of ``rows[i]`` is set iff i beats j."""
+    packed = np.packbits(adj, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def _matrix(rows: List[int]) -> np.ndarray:
+    """The n x n boolean matrix of out-set ints; inverse of :func:`_rows`."""
+    n = len(rows)
+    width = (n + 7) // 8
+    data = b"".join(row.to_bytes(width, "little") for row in rows)
+    packed = np.frombuffer(data, dtype=np.uint8).reshape(n, width)
+    return np.unpackbits(packed, axis=1, count=n, bitorder="little").view(bool)
 
 
 def rotational_regular(n: int) -> Tournament:
     """Regular tournament on odd n: vertex i beats the next (n-1)/2 vertices mod n."""
     if n < 1 or n % 2 == 0:
         raise ValueError("n must be odd and >= 1")
-    return Tournament(_rotational_matrix(n))
+    return Tournament(_matrix(_rotational_rows(n)))
 
 
 def nearly_regular(n: int) -> Tournament:
@@ -215,7 +243,7 @@ def nearly_regular(n: int) -> Tournament:
     """
     if n < 2 or n % 2 == 1:
         raise ValueError("n must be even and >= 2")
-    return Tournament(_nearly_regular_matrix(n))
+    return Tournament(_matrix(_nearly_regular_rows(n)))
 
 
 def strong_components(t: Tournament) -> StrongDecomposition:
@@ -237,37 +265,67 @@ def is_strong(t: Tournament) -> bool:
     return len(strong_components(t).components) == 1
 
 
-def _shortest_path(adj: np.ndarray, src: int, dst: int) -> Optional[List[int]]:
-    """Shortest src -> dst path by level-synchronous BFS, or None if unreachable.
+def _ids(bits: int) -> Iterator[int]:
+    """The vertex ids of a bit set, ascending."""
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low
 
+
+def _lowest(bits: int) -> int:
+    return (bits & -bits).bit_length() - 1
+
+
+def _shortest_path(rows: List[int], src: int, dst: int) -> Optional[List[int]]:
+    """Shortest src -> dst path by BFS on out-set ints, or None if unreachable.
+
+    ``rows[i]`` has bit j set iff i beats j; since every pair is oriented,
+    the in-set of v is the complement of ``rows[v]`` without v itself.
     Tie-break: every vertex on the path is the smallest-id vertex of the
-    previous BFS level that beats the next one (the direct arc and the
-    smallest-id middle vertex of a 2-path are tried first).  Each level is
-    expanded at once with one boolean row reduction, O(|level| * n), so a
-    search costs O(n^2) in the worst case and O(n) when a shortcut applies.
+    previous BFS level that beats the next one.  The direct arc and the
+    smallest-id middle vertex of a 2-path are tried first.  Then, at each
+    level, the unvisited in-neighbours of dst are scanned in ascending id:
+    the first one the level beats is the next level's smallest-id vertex
+    that beats dst, so the search stops there without building that level.
+    Otherwise the next level is built top-down (the union of the level's
+    out-sets) or bottom-up (every unvisited vertex the level beats),
+    whichever loops over fewer vertices.  The path is rebuilt backwards
+    from the lowest set bit of ``level & ~rows[cur]``.  Each step is one
+    operation on n-bit ints, so a search costs O(n^2 / 64) word operations
+    at most and O(n / 64) when a shortcut applies.
     """
-    if adj[src, dst]:
+    out = rows[src]
+    if out >> dst & 1:
         return [src, dst]
-    mid = np.flatnonzero(adj[src] & adj[:, dst])
-    if mid.size:
-        return [src, int(mid[0]), dst]
-    visited = np.zeros(adj.shape[0], dtype=bool)
-    visited[src] = True
-    levels = [np.array([src])]
-    while True:
-        new = adj[levels[-1]].any(axis=0) & ~visited
-        if new[dst]:
-            break
-        level = np.flatnonzero(new)
-        if not level.size:
-            return None
-        visited[level] = True
-        levels.append(level)
-    path = [dst]
-    for level in reversed(levels):
-        path.append(int(level[np.argmax(adj[level, path[-1]])]))
-    path.reverse()
-    return path
+    full = (1 << len(rows)) - 1
+    into = full ^ rows[dst] ^ (1 << dst)
+    if out & into:
+        return [src, _lowest(out & into), dst]
+    levels = [1 << src, out]
+    seen = levels[0] | out
+    while levels[-1]:
+        level = levels[-1]
+        for v in _ids(into & ~seen):
+            if level & ~rows[v]:
+                path = [dst, v]
+                for prev in reversed(levels):
+                    path.append(_lowest(prev & ~rows[path[-1]]))
+                path.reverse()
+                return path
+        unseen = full & ~seen
+        new = 0
+        if level.bit_count() <= unseen.bit_count():
+            for u in _ids(level):
+                new |= rows[u]
+            new &= unseen
+        else:
+            for v in _ids(unseen):
+                if level & ~rows[v]:
+                    new |= 1 << v
+        levels.append(new)
+        seen |= new
+    return None
 
 
 def find_path(t: Tournament, src: int, dst: int) -> VertexPath:
@@ -275,22 +333,17 @@ def find_path(t: Tournament, src: int, dst: int) -> VertexPath:
 
     Among the shortest paths, each vertex is the smallest-id vertex at its
     BFS distance from src that beats the next vertex on the path.  The
-    search costs O(|level| * n) per BFS level, O(n^2) at most.
+    matrix is packed into one int per out-set, O(n^2) once; the search then
+    costs O(n^2 / 64) word operations at most (see ``_shortest_path``).
     """
     if not (0 <= src < t.n and 0 <= dst < t.n):
         raise ValueError("vertex out of range")
     if src == dst:
         raise ValueError("path endpoints must differ")
-    path = _shortest_path(t.adjacency, src, dst)
+    path = _shortest_path(_rows(t.adjacency), src, dst)
     if path is None:
         raise UnreachableError(f"no path from {src} to {dst}")
     return VertexPath(tuple(path))
-
-
-def _flip_path(adj: np.ndarray, path: List[int]) -> None:
-    for a, b in zip(path, path[1:]):
-        adj[a, b] = False
-        adj[b, a] = True
 
 
 def reverse_path(t: Tournament, path: VertexPath) -> Tournament:
@@ -299,33 +352,32 @@ def reverse_path(t: Tournament, path: VertexPath) -> Tournament:
     for a, b in zip(path.vertices, path.vertices[1:]):
         if not adj[a, b]:
             raise InvalidPathError(f"({a}, {b}) is not an arc")
-    _flip_path(adj, list(path.vertices))
+        adj[a, b], adj[b, a] = False, True
     return Tournament(adj)
 
 
-def _base_matrix(n: int) -> np.ndarray:
-    return _rotational_matrix(n) if n % 2 == 1 else _nearly_regular_matrix(n)
+def _replay(s: LandauSequence) -> Iterator[List[int]]:
+    """Replay the down-jump walk of ``s`` in reverse on one list of out-sets.
 
-
-def _replay(s: LandauSequence) -> Iterator[np.ndarray]:
-    """Replay the down-jump walk of ``s`` in reverse on one working matrix.
-
-    Yields the starting regular/nearly-regular matrix, then the same array
-    again after each path reversal: for a jump with positions (p, q), a
-    shortest path from vertex p-1 to vertex q-1 is reversed.
+    Yields the starting regular/nearly-regular rows (see ``_shortest_path``
+    for the layout), then the same list again after each path reversal: for
+    a jump with positions (p, q), a shortest path from vertex p-1 to vertex
+    q-1 is reversed, two XORs per arc.
     """
     target = list(regular_sequence(s.n).scores)
     pairs = list(_walk(_down_rule, list(s.scores), target))
-    adj = _base_matrix(s.n)
-    yield adj
+    rows = _base_rows(s.n)
+    yield rows
     for p, q in reversed(pairs):
-        path = _shortest_path(adj, p - 1, q - 1)
+        path = _shortest_path(rows, p - 1, q - 1)
         if path is None:
             raise UnreachableError(
                 f"no path from {p - 1} to {q - 1}: intermediate tournament is not strong"
             )
-        _flip_path(adj, path)
-        yield adj
+        for a, b in zip(path, path[1:]):
+            rows[a] ^= 1 << b
+            rows[b] ^= 1 << a
+        yield rows
 
 
 def realize(s: LandauSequence) -> Tournament:
@@ -337,9 +389,9 @@ def realize(s: LandauSequence) -> Tournament:
     from vertex p-1 to vertex q-1.  Vertex i always carries the i-th sorted
     score, so the output has score s_i at vertex i.
     """
-    for adj in _replay(s):
+    for rows in _replay(s):
         pass
-    return Tournament(adj)
+    return Tournament(_matrix(rows))
 
 
 def realize_stages(s: LandauSequence) -> List[Tournament]:
@@ -349,7 +401,7 @@ def realize_stages(s: LandauSequence) -> List[Tournament]:
     tournament down to the realization of ``s``; every entry except possibly
     the last is strong.
     """
-    return [Tournament(adj) for adj in _replay(s)]
+    return [Tournament(_matrix(rows)) for rows in _replay(s)]
 
 
 def count_3cycles(t: Tournament) -> int:

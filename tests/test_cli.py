@@ -1,10 +1,12 @@
 import hashlib
 import json
+from unittest import mock
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from landau.cli import main
+from landau.cli import REALIZE_CAP, TOURNAMENT_FORMATS, main
 from landau.oracle import enumerate_landau_sequences
 from landau.sequences import down_trace, gr_down_trace, up_trace, validate_landau
 from landau.tournaments import from_arcs, score_sequence
@@ -89,6 +91,56 @@ class TestRealize:
         assert result.exit_code == 0
         digest = hashlib.sha256(result.output.encode()).hexdigest()
         assert digest == "168a318d98e555c89a8492cfacf68ef2a10e41c99eef6ff1165cdcf746415081"
+
+    @pytest.fixture
+    def pinned(self, tmp_path):
+        # Tr_40, R_41, R_40 and the scores of a seeded random tournament, n=200
+        rng = np.random.default_rng(200)
+        upper = np.triu(rng.random((200, 200)) < 0.5, k=1)
+        adj = upper | (~(upper | upper.T) & np.tri(200, 200, -1, dtype=bool))
+        seqs = [range(40), [20] * 41, [19] * 20 + [20] * 20, sorted(adj.sum(axis=1))]
+        path = tmp_path / "seqs.txt"
+        path.write_text("".join(",".join(map(str, s)) + "\n" for s in seqs))
+        return str(path)
+
+    # sha256 of the output for the pinned sequences, taken when every
+    # format was rendered one arc (or one matrix entry) at a time
+    FORMAT_DIGESTS = {
+        "text": "cc3adbf20c4cba2582c6313281eded395bac8dc9e46cc19570b0c95fcca5aeff",
+        "json": "f589f5ca2ece6f910dbcf81dcac93c1a34f3002cb441cb27f68e1f7039d007b0",
+        "dot": "ce64483d48587aef1229b69569c5a064e727099b1650a34946435bc9ddb490d4",
+        "matrix": "5eef9101be9a19a73052057e7447ca6000aa5dd986523b84aa9c1876136942a7",
+        "arclist": "0fae14887123c1b83960f1802f3a36fdd05ae3c5133682c67faddbb01316526f",
+    }
+
+    @pytest.mark.parametrize("fmt", list(FORMAT_DIGESTS))
+    def test_batch_output_digest(self, runner, pinned, fmt):
+        result = invoke(runner, "realize", "--file", pinned, "--format", fmt)
+        assert result.exit_code == 0
+        digest = hashlib.sha256(result.output.encode()).hexdigest()
+        assert digest == self.FORMAT_DIGESTS[fmt]
+
+    @pytest.mark.parametrize("fmt", TOURNAMENT_FORMATS)
+    def test_single_vertex(self, runner, fmt):
+        expected = {
+            "text": "n=1\nscores: 0\n",
+            "json": '{"n": 1, "scores": [0], "arcs": []}\n',
+            "dot": "digraph {\n}\n",
+            "matrix": "0\n",
+            "arclist": "",
+        }
+        assert invoke(runner, "realize", "0", "--format", fmt).output == expected[fmt]
+
+    def test_over_the_cap_exits_1_before_building(self, runner):
+        literal = ",".join(["0"] * (REALIZE_CAP + 1))
+        with mock.patch("landau.cli.validate_landau") as validate, mock.patch(
+            "landau.cli.realize_tournament"
+        ) as build:
+            result = invoke(runner, "realize", literal)
+        assert result.exit_code == 1
+        assert f"exceeds the realize cap of {REALIZE_CAP}" in result.output
+        validate.assert_not_called()
+        build.assert_not_called()
 
     def test_dot_format(self, runner):
         result = invoke(runner, "realize", "0,1,2", "--format", "dot")
@@ -275,3 +327,14 @@ class TestCompare:
         _, path = all_up_to_8
         out = invoke(runner, "compare", "--file", path, "--format", fmt).output
         assert hashlib.sha256(out.encode()).hexdigest() == self.BATCH_DIGESTS[fmt]
+
+
+class TestFileInput:
+    @pytest.mark.parametrize("command", ["validate", "realize", "trace", "compare"])
+    def test_non_utf8_file_is_a_parse_error(self, runner, tmp_path, command):
+        path = tmp_path / "seqs.txt"
+        path.write_bytes(b"\xff\xfe1,2\n")
+        result = invoke(runner, command, "--file", str(path))
+        assert result.exit_code == 2
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert "error:" in result.output and "not UTF-8" in result.output

@@ -147,6 +147,21 @@ class TestRegularConstructions:
         with pytest.raises(ValueError):
             nearly_regular(5)
 
+    @pytest.mark.parametrize("n", range(1, 40))
+    def test_base_matches_its_definition(self, n):
+        # rotational(m): i beats i+1..i+(m-1)/2 mod m; for even n, delete the
+        # last vertex of rotational(n+1) and stably sort the rest by score
+        m = n if n % 2 else n + 1
+        adj = np.zeros((m, m), dtype=bool)
+        for x in range(1, (m - 1) // 2 + 1):
+            adj[np.arange(m), (np.arange(m) + x) % m] = True
+        if n % 2:
+            assert (rotational_regular(n).adjacency == adj).all()
+        else:
+            perm = np.argsort(adj[:n, :n].sum(axis=1), kind="stable")
+            expected = adj[:n, :n][np.ix_(perm, perm)]
+            assert (nearly_regular(n).adjacency == expected).all()
+
     def test_rotational_strong_for_odd_n_at_least_3(self):
         for n in (3, 5, 7, 9, 11):
             assert is_strong(rotational_regular(n))
@@ -323,8 +338,8 @@ def _reference_shortest_path(
 ) -> Optional[List[int]]:
     """Shortest src -> dst path by BFS; smallest-id parents break ties.
 
-    The per-vertex BFS, kept as an independent reference for the
-    level-synchronous search in ``tournaments._shortest_path``.
+    The per-vertex BFS on the boolean matrix, kept as an independent
+    reference for the bit-row search in ``tournaments._shortest_path``.
     """
     if adj[src, dst]:
         return [src, dst]
@@ -362,9 +377,19 @@ def _random_tournament(n: int, p: float, rng: np.random.Generator) -> np.ndarray
     return upper | (~(upper | upper.T) & np.tri(n, n, -1, dtype=bool))
 
 
+def _forced_long_path(n: int) -> np.ndarray:
+    """i beats i+1, otherwise the higher id wins: 0 -> n-1 takes n-1 arcs."""
+    adj = np.tri(n, n, -1, dtype=bool)
+    idx = np.arange(n - 1)
+    adj[idx, idx + 1] = True
+    adj[idx + 1, idx] = False
+    return adj
+
+
 def _mismatches(adj: np.ndarray):
     """Ordered pairs where the two searches disagree, and the None count."""
     n = adj.shape[0]
+    rows = tournaments._rows(adj)
     bad, unreachable = [], 0
     for src in range(n):
         for dst in range(n):
@@ -372,13 +397,18 @@ def _mismatches(adj: np.ndarray):
                 continue
             expected = _reference_shortest_path(adj, src, dst)
             unreachable += expected is None
-            if tournaments._shortest_path(adj, src, dst) != expected:
+            if tournaments._shortest_path(rows, src, dst) != expected:
                 bad.append((src, dst))
     return bad, unreachable
 
 
+def _reference_on_rows(rows, src, dst):
+    """The reference search, on the matrix of the replay's out-set ints."""
+    return _reference_shortest_path(tournaments._matrix(rows), src, dst)
+
+
 def _realize_with_reference(s: LandauSequence):
-    with mock.patch.object(tournaments, "_shortest_path", _reference_shortest_path):
+    with mock.patch.object(tournaments, "_shortest_path", _reference_on_rows):
         return realize(s), realize_stages(s)
 
 
@@ -414,6 +444,14 @@ class TestShortestPathAgainstReference:
             bad, _ = _mismatches(adj)
             assert not bad, bad
 
+    @pytest.mark.parametrize("n", [10, 40, 70])
+    def test_forced_long_paths(self, n):
+        adj = _forced_long_path(n)
+        assert find_path(Tournament(adj), 0, n - 1).vertices == tuple(range(n))
+        bad, unreachable = _mismatches(adj)
+        assert not bad, bad
+        assert unreachable == 0
+
     @pytest.mark.parametrize("n", [31, 60, 80])
     def test_realize_transitive_matches_reference_replay(self, n):
         s = transitive_sequence(n)
@@ -427,6 +465,24 @@ class TestShortestPathAgainstReference:
         expected, expected_stages = _realize_with_reference(s)
         assert realize(s) == expected
         assert realize_stages(s) == expected_stages
+
+
+class TestRows:
+    @staticmethod
+    def check_round_trip(adj: np.ndarray):
+        rows = tournaments._rows(adj)
+        assert rows == [sum(1 << int(j) for j in np.flatnonzero(r)) for r in adj]
+        assert (tournaments._matrix(rows) == adj).all()
+        assert tournaments._rows(tournaments._matrix(rows)) == rows
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_round_trip_on_every_small_tournament(self, n):
+        for t in enumerate_tournaments(n):
+            self.check_round_trip(t.adjacency)
+
+    @pytest.mark.parametrize("n", [7, 8, 9, 16, 17, 63, 64, 65])
+    def test_round_trip_across_byte_boundaries(self, n):
+        self.check_round_trip(_random_tournament(n, 0.5, np.random.default_rng(n)))
 
 
 class TestReplayErrors:
