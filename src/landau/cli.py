@@ -6,7 +6,8 @@ via --file for batch runs.  Results go to stdout, diagnostics to stderr.
 Exit codes: 0 success, 1 domain failure (invalid sequence, or a cap
 exceeded: ``enumerate`` above its order limit, ``realize`` on more than
 ``REALIZE_CAP`` scores), 2 usage or parse error (including a --file that is
-not UTF-8 text).
+not UTF-8 text).  No subcommand imports numpy: tournaments are rendered from
+their bit rows and written one row at a time.
 """
 
 from __future__ import annotations
@@ -14,11 +15,10 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import asdict
-from itertools import islice
+from itertools import compress, islice
 from typing import Iterator, List, Sequence, Tuple
 
 import click
-import numpy as np
 
 from . import oracle
 from .sequences import (
@@ -36,11 +36,10 @@ from .sequences import (
 )
 from .tournaments import Tournament, realize as realize_tournament
 
-TOURNAMENT_FORMATS = ("text", "json", "dot", "matrix", "arclist")
-
-#: Longest sequence ``landau realize`` accepts: the realized tournament is an
-#: n x n boolean matrix, n^2 bytes (100 MB at the cap), and the replay makes
-#: up to n^2/8 path reversals.  Longer input exits 1 before anything is built.
+#: Longest sequence ``landau realize`` accepts: the realized tournament is n
+#: bit rows, n^2/8 bytes (12.5 MB at the cap), the output is written one row
+#: at a time, and the replay makes up to n^2/8 path reversals.  Longer input
+#: exits 1 before anything is built.
 REALIZE_CAP = 10_000
 
 
@@ -90,6 +89,12 @@ def _json_ints(scores: Sequence[int]) -> str:
     return json.dumps(list(scores))
 
 
+def _echo_stream(pieces: Iterator[str]) -> None:
+    """Echo text as it is made; one echo (a write and a flush) per 1024 pieces."""
+    for chunk in iter(lambda: "".join(islice(pieces, 1024)), ""):
+        click.echo(chunk, nl=False)
+
+
 @click.group()
 def main():
     """Validate, realize, and trace tournament score sequences."""
@@ -127,56 +132,67 @@ def validate(sequence, file_, strong, fmt):
     sys.exit(1 if failed else 0)
 
 
+#: ``format(row, "0nb")`` digits as bytes 0/1, for ``itertools.compress``
+_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _bit_strings(t: Tournament) -> Iterator[str]:
+    """Each row as n digits "0"/"1", digit j set iff the vertex beats j."""
+    width = f"0{t.n}b"
+    for row in t._rows:
+        yield format(row, width)[::-1]
+
+
 def _out_rows(t: Tournament) -> Iterator[Tuple[str, List[str]]]:
     """Each vertex that beats someone, as a label with the labels it beats."""
     labels = [str(i) for i in range(t.n)]
-    for i, row in enumerate(t.adjacency):
-        losers = np.flatnonzero(row).tolist()
+    for label, bits in zip(labels, _bit_strings(t)):
+        losers = list(compress(labels, bits.encode().translate(_BITS)))
         if losers:
-            yield labels[i], [labels[j] for j in losers]
+            yield label, losers
 
 
-def _render_arclist(t: Tournament) -> str:
-    # "i j\n" per arc, one join per row
-    return "".join(
-        f"{i} " + f"\n{i} ".join(losers) + "\n" for i, losers in _out_rows(t)
-    )
+def _render_arclist(t: Tournament) -> Iterator[str]:
+    # "i j\n" per arc, one piece per row
+    for i, losers in _out_rows(t):
+        yield f"{i} " + f"\n{i} ".join(losers) + "\n"
 
 
-def _render_matrix(t: Tournament) -> str:
-    digits = t.adjacency.view(np.uint8) + ord("0")
-    newlines = np.full((t.n, 1), ord("\n"), dtype=np.uint8)
-    return np.hstack([digits, newlines]).tobytes().decode("ascii")
+def _render_matrix(t: Tournament) -> Iterator[str]:
+    for bits in _bit_strings(t):
+        yield bits + "\n"
 
 
-def _render_dot(t: Tournament) -> str:
-    arcs = "".join(
-        f"  {i} -> " + f";\n  {i} -> ".join(losers) + ";\n"
-        for i, losers in _out_rows(t)
-    )
-    return "digraph {\n" + arcs + "}\n"
+def _render_dot(t: Tournament) -> Iterator[str]:
+    yield "digraph {\n"
+    for i, losers in _out_rows(t):
+        yield f"  {i} -> " + f";\n  {i} -> ".join(losers) + ";\n"
+    yield "}\n"
 
 
-def _render_json(t: Tournament) -> str:
-    # the bytes json.dumps gives for {"n", "scores", "arcs"}, one join per row
-    arcs = ", ".join(
-        f"[{i}, " + f"], [{i}, ".join(losers) + "]" for i, losers in _out_rows(t)
-    )
-    scores = _json_ints(t.scores().tolist())
-    return f'{{"n": {t.n}, "scores": {scores}, "arcs": [{arcs}]}}\n'
+def _render_json(t: Tournament) -> Iterator[str]:
+    # the bytes json.dumps gives for {"n", "scores", "arcs"}, one piece per row
+    yield f'{{"n": {t.n}, "scores": {_json_ints(t._popcounts())}, "arcs": ['
+    sep = ""
+    for i, losers in _out_rows(t):
+        yield sep + f"[{i}, " + f"], [{i}, ".join(losers) + "]"
+        sep = ", "
+    yield "]}\n"
 
 
-def _render_tournament(t: Tournament, fmt: str) -> str:
-    if fmt == "arclist":
-        return _render_arclist(t)
-    if fmt == "matrix":
-        return _render_matrix(t)
-    if fmt == "dot":
-        return _render_dot(t)
-    if fmt == "json":
-        return _render_json(t)
-    scores = _seq_str(t.scores().tolist())
-    return f"n={t.n}\nscores: {scores}\n" + _render_arclist(t)
+def _render_text(t: Tournament) -> Iterator[str]:
+    yield f"n={t.n}\nscores: {_seq_str(t._popcounts())}\n"
+    yield from _render_arclist(t)
+
+
+_RENDERERS = {
+    "text": _render_text,
+    "json": _render_json,
+    "dot": _render_dot,
+    "matrix": _render_matrix,
+    "arclist": _render_arclist,
+}
+TOURNAMENT_FORMATS = tuple(_RENDERERS)
 
 
 @main.command()
@@ -195,7 +211,7 @@ def realize(sequence, file_, fmt):
             )
             sys.exit(1)
         t = realize_tournament(_require_valid(raw))
-        click.echo(_render_tournament(t, fmt), nl=False)
+        _echo_stream(_RENDERERS[fmt](t))
 
 
 def _trace_text(
@@ -217,12 +233,6 @@ def _trace_json(
         yield f'{sep}{{"seq": {_json_ints(scores)}, "low": {low}, "high": {high}}}'
         sep = ", "
     yield "]}\n"
-
-
-def _echo_stream(pieces: Iterator[str]) -> None:
-    """Echo text as it is made; one echo (a write and a flush) per 1024 pieces."""
-    for chunk in iter(lambda: "".join(islice(pieces, 1024)), ""):
-        click.echo(chunk, nl=False)
 
 
 @main.command()

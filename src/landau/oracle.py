@@ -12,9 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import comb
-from typing import Iterator, List, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator, List, Optional
 
 from .sequences import (
     LandauSequence,
@@ -24,7 +22,10 @@ from .sequences import (
     c_value,
     regular_sequence,
 )
-from .tournaments import Tournament
+from .tournaments import Tournament, _matrix
+
+if TYPE_CHECKING:
+    import numpy as np
 
 SEQUENCE_CAP = 12
 TOURNAMENT_CAP = 6
@@ -85,19 +86,19 @@ def enumerate_tournaments(n: int) -> Iterator[Tournament]:
         raise CapExceededError(f"n={n} exceeds tournament cap {TOURNAMENT_CAP}")
     pairs = list(combinations(range(n), 2))
     for mask in range(1 << len(pairs)):
-        adj = np.zeros((n, n), dtype=bool)
+        rows = [0] * n
         for bit, (i, j) in enumerate(pairs):
             if mask >> bit & 1:
-                adj[i, j] = True
+                rows[i] |= 1 << j
             else:
-                adj[j, i] = True
-        yield Tournament(adj)
+                rows[j] |= 1 << i
+        yield Tournament._trusted(rows)
 
 
 @lru_cache(maxsize=None)
 def _realizable_score_tuples(n: int) -> frozenset:
     return frozenset(
-        tuple(sorted(int(x) for x in t.scores())) for t in enumerate_tournaments(n)
+        tuple(sorted(t._popcounts())) for t in enumerate_tournaments(n)
     )
 
 
@@ -114,13 +115,17 @@ def realizable_by_brute_force(v: ScoreVector) -> bool:
 def reachability(t: Tournament) -> np.ndarray:
     """Boolean n x n matrix; (i, j) true iff a directed path leads i to j.
 
-    Warshall's transitive closure of the arcs, with every vertex reaching
-    itself.  It reads no scores, so it can certify score-based claims.
+    Warshall's transitive closure of the arcs, on one int per row: every
+    vertex reaches itself, and a vertex that reaches k reaches all k does.
+    It reads no scores, so it can certify score-based claims.
     """
-    reach = t.adjacency | np.eye(t.n, dtype=bool)
+    reach = [row | 1 << i for i, row in enumerate(t._rows)]
     for k in range(t.n):
-        reach |= np.outer(reach[:, k], reach[k])
-    return reach
+        bit, through = 1 << k, reach[k]
+        for i, row in enumerate(reach):
+            if row & bit:
+                reach[i] = row | through
+    return _matrix(reach)
 
 
 @dataclass(frozen=True)

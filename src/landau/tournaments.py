@@ -1,20 +1,21 @@
 """Tournaments: construction, strong components, path reversal, realization.
 
-A tournament is an orientation of the complete graph, stored here as a dense
-boolean matrix where entry (i, j) means "i beats j".  The centerpiece is
-:func:`realize`, which builds an explicit tournament with any prescribed
-valid score sequence by running the down-jump walk on the sequence and then
-replaying it in reverse as a series of path reversals starting from a
-regular or nearly-regular tournament.  The replay works on bit rows, one
-Python int per out-set, and builds the boolean matrix once at the end.
+A tournament is an orientation of the complete graph, stored here as bit
+rows: one Python int per vertex, bit j of row i set iff i beats j.  The
+centerpiece is :func:`realize`, which builds an explicit tournament with any
+prescribed valid score sequence by running the down-jump walk on the
+sequence and then replaying it in reverse as a series of path reversals
+starting from a regular or nearly-regular tournament.  The replay works on
+the same rows, and the result holds them as they are.  numpy is imported
+only by the functions that read or return an array: the constructor from a
+matrix, ``adjacency``, ``scores()`` and :func:`count_3cycles`.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .sequences import (
     LandauSequence,
@@ -24,6 +25,9 @@ from .sequences import (
     regular_sequence,
     validate_landau,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class TournamentError(Exception):
@@ -53,14 +57,18 @@ class InvalidPathError(TournamentError):
 class Tournament:
     """Orientation of the complete graph on n labeled vertices.
 
-    Immutable: the adjacency matrix is frozen at construction and operations
-    that change arcs return new instances.  Entries must be 0, 1, False or
-    True; anything else raises ``ValueError`` rather than becoming an arc.
+    Immutable: the out-sets are held as bit rows (bit j of row i set iff i
+    beats j) and operations that change arcs return new instances.  The
+    boolean matrix ``adjacency`` is built from the rows on first access.
+    Entries given to the constructor must be 0, 1, False or True; anything
+    else raises ``ValueError`` rather than becoming an arc.
     """
 
-    __slots__ = ("_adj",)
+    __slots__ = ("_rows", "_adj")
 
     def __init__(self, adjacency):
+        import numpy as np
+
         raw = np.asarray(adjacency)
         if raw.dtype != bool and not ((raw == 0) | (raw == 1)).all():
             raise ValueError("adjacency entries must be 0, 1, False or True")
@@ -79,51 +87,70 @@ class Tournament:
             i, j = (int(x) for x in np.argwhere(neither)[0])
             raise MissingPairError(f"pair {{{i}, {j}}} has no orientation")
         adj.setflags(write=False)
+        self._rows = tuple(_rows(adj))
         self._adj = adj
+
+    @classmethod
+    def _trusted(cls, rows: Iterable[int]) -> "Tournament":
+        # Out-set ints known to form a tournament (a construction, or a path
+        # reversal of one): copy them, no checks, no matrix until asked for.
+        self = object.__new__(cls)
+        self._rows = tuple(rows)
+        self._adj = None
+        return self
 
     @property
     def n(self) -> int:
-        return self._adj.shape[0]
+        return len(self._rows)
 
     @property
     def adjacency(self) -> np.ndarray:
         """Read-only n x n boolean matrix; (i, j) true iff i beats j."""
+        if self._adj is None:
+            adj = _matrix(self._rows)
+            adj.setflags(write=False)
+            self._adj = adj
         return self._adj
 
+    def _popcounts(self) -> List[int]:
+        return [row.bit_count() for row in self._rows]
+
     def beats(self, i: int, j: int) -> bool:
-        return bool(self._adj[i, j])
+        return bool(self._rows[i] >> range(self.n)[j] & 1)
 
     def out_set(self, i: int) -> Tuple[int, ...]:
-        return tuple(int(v) for v in np.flatnonzero(self._adj[i]))
+        return tuple(_ids(self._rows[i]))
 
     def in_set(self, i: int) -> Tuple[int, ...]:
-        return tuple(int(v) for v in np.flatnonzero(self._adj[:, i]))
+        # every pair is oriented: the in-set is the rest of the out-set's complement
+        i = range(self.n)[i]
+        return tuple(_ids(((1 << self.n) - 1) ^ self._rows[i] ^ (1 << i)))
 
     def score(self, i: int) -> int:
-        return int(self._adj[i].sum())
+        return self._rows[i].bit_count()
 
     def scores(self) -> np.ndarray:
         """Out-degree of each vertex, indexed by vertex id."""
-        return self._adj.sum(axis=1)
+        import numpy as np
+
+        return np.array(self._popcounts(), dtype=np.int_)
 
     def arcs(self) -> Iterator[Tuple[int, int]]:
         """All arcs (winner, loser), winners ascending, losers ascending."""
-        for i in range(self.n):
-            for j in np.flatnonzero(self._adj[i]):
-                yield i, int(j)
+        for i, row in enumerate(self._rows):
+            for j in _ids(row):
+                yield i, j
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Tournament):
             return NotImplemented
-        return self._adj.shape == other._adj.shape and bool(
-            (self._adj == other._adj).all()
-        )
+        return self._rows == other._rows
 
     def __hash__(self):
-        return hash(self._adj.tobytes())
+        return hash(self._rows)
 
     def __repr__(self) -> str:
-        return f"Tournament(n={self.n}, scores={self.scores().tolist()})"
+        return f"Tournament(n={self.n}, scores={self._popcounts()})"
 
 
 @dataclass(frozen=True)
@@ -163,21 +190,29 @@ def from_arcs(n: int, beats: Iterable[Tuple[int, int]]) -> Tournament:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    adj = np.zeros((n, n), dtype=bool)
+    rows, ins = [0] * n, [0] * n
     for i, j in beats:
         if not (0 <= i < n and 0 <= j < n):
             raise ValueError(f"vertex out of range in arc ({i}, {j})")
+        i, j = operator.index(i), operator.index(j)
         if i == j:
             raise SelfLoopError(f"self-loop at vertex {i}")
-        if adj[j, i] or adj[i, j]:
+        if (rows[i] | ins[i]) >> j & 1:
             raise DoublePairError(f"pair {{{i}, {j}}} oriented twice")
-        adj[i, j] = True
-    return Tournament(adj)
+        rows[i] |= 1 << j
+        ins[j] |= 1 << i
+    full = (1 << n) - 1
+    for i in range(n):
+        neither = full ^ (rows[i] | ins[i] | 1 << i)
+        if neither:
+            j = _lowest(neither)
+            raise MissingPairError(f"pair {{{i}, {j}}} has no orientation")
+    return Tournament._trusted(rows)
 
 
 def score_sequence(t: Tournament) -> LandauSequence:
     """Sorted out-degrees; always satisfies Landau's conditions."""
-    result = validate_landau(sorted(int(x) for x in t.scores()))
+    result = validate_landau(sorted(t._popcounts()))
     if not isinstance(result, LandauSequence):
         raise TournamentError(f"out-degrees are not a score sequence: {result}")
     return result
@@ -214,15 +249,19 @@ def _base_rows(n: int) -> List[int]:
 
 def _rows(adj: np.ndarray) -> List[int]:
     """Out-sets as ints: bit j of ``rows[i]`` is set iff i beats j."""
+    import numpy as np
+
     packed = np.packbits(adj, axis=1, bitorder="little")
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
-def _matrix(rows: List[int]) -> np.ndarray:
+def _matrix(rows: Sequence[int]) -> np.ndarray:
     """The n x n boolean matrix of out-set ints; inverse of :func:`_rows`."""
+    import numpy as np
+
     n = len(rows)
     width = (n + 7) // 8
-    data = b"".join(row.to_bytes(width, "little") for row in rows)
+    data = b"".join([row.to_bytes(width, "little") for row in rows])
     packed = np.frombuffer(data, dtype=np.uint8).reshape(n, width)
     return np.unpackbits(packed, axis=1, count=n, bitorder="little").view(bool)
 
@@ -231,7 +270,7 @@ def rotational_regular(n: int) -> Tournament:
     """Regular tournament on odd n: vertex i beats the next (n-1)/2 vertices mod n."""
     if n < 1 or n % 2 == 0:
         raise ValueError("n must be odd and >= 1")
-    return Tournament(_matrix(_rotational_rows(n)))
+    return Tournament._trusted(_rotational_rows(n))
 
 
 def nearly_regular(n: int) -> Tournament:
@@ -243,7 +282,7 @@ def nearly_regular(n: int) -> Tournament:
     """
     if n < 2 or n % 2 == 1:
         raise ValueError("n must be even and >= 2")
-    return Tournament(_matrix(_nearly_regular_rows(n)))
+    return Tournament._trusted(_nearly_regular_rows(n))
 
 
 def strong_components(t: Tournament) -> StrongDecomposition:
@@ -253,7 +292,7 @@ def strong_components(t: Tournament) -> StrongDecomposition:
     stably sorted by score, split wherever the sorted prefix sum is exactly
     C(k,2), lowest scores first.  Vertex ids ascend inside each component.
     """
-    scores = t.scores().tolist()
+    scores = t._popcounts()
     order = sorted(range(t.n), key=scores.__getitem__)
     cuts = [0, *_prefix_equalities(sorted(scores)), t.n]
     blocks = (sorted(order[a:b]) for a, b in zip(cuts, cuts[1:]))
@@ -277,7 +316,7 @@ def _lowest(bits: int) -> int:
     return (bits & -bits).bit_length() - 1
 
 
-def _shortest_path(rows: List[int], src: int, dst: int) -> Optional[List[int]]:
+def _shortest_path(rows: Sequence[int], src: int, dst: int) -> Optional[List[int]]:
     """Shortest src -> dst path by BFS on out-set ints, or None if unreachable.
 
     ``rows[i]`` has bit j set iff i beats j; since every pair is oriented,
@@ -333,14 +372,15 @@ def find_path(t: Tournament, src: int, dst: int) -> VertexPath:
 
     Among the shortest paths, each vertex is the smallest-id vertex at its
     BFS distance from src that beats the next vertex on the path.  The
-    matrix is packed into one int per out-set, O(n^2) once; the search then
-    costs O(n^2 / 64) word operations at most (see ``_shortest_path``).
+    search runs on the tournament's rows and costs O(n^2 / 64) word
+    operations at most (see ``_shortest_path``).
     """
     if not (0 <= src < t.n and 0 <= dst < t.n):
         raise ValueError("vertex out of range")
+    src, dst = operator.index(src), operator.index(dst)
     if src == dst:
         raise ValueError("path endpoints must differ")
-    path = _shortest_path(_rows(t.adjacency), src, dst)
+    path = _shortest_path(t._rows, src, dst)
     if path is None:
         raise UnreachableError(f"no path from {src} to {dst}")
     return VertexPath(tuple(path))
@@ -348,12 +388,15 @@ def find_path(t: Tournament, src: int, dst: int) -> VertexPath:
 
 def reverse_path(t: Tournament, path: VertexPath) -> Tournament:
     """Reverse every arc along the path; first vertex loses 1, last gains 1."""
-    adj = t.adjacency.copy()
+    if not all(0 <= v < t.n for v in path.vertices):
+        raise ValueError("vertex out of range")
+    rows = list(t._rows)
     for a, b in zip(path.vertices, path.vertices[1:]):
-        if not adj[a, b]:
+        if not rows[a] >> b & 1:
             raise InvalidPathError(f"({a}, {b}) is not an arc")
-        adj[a, b], adj[b, a] = False, True
-    return Tournament(adj)
+        rows[a] ^= 1 << b
+        rows[b] ^= 1 << a
+    return Tournament._trusted(rows)
 
 
 def _replay(s: LandauSequence) -> Iterator[List[int]]:
@@ -388,10 +431,13 @@ def realize(s: LandauSequence) -> Tournament:
     in reverse: for each jump with positions (p, q), reverse a shortest path
     from vertex p-1 to vertex q-1.  Vertex i always carries the i-th sorted
     score, so the output has score s_i at vertex i.
+
+    The replay makes d(R,S)/2 jumps, each one shortest-path search and one
+    reversal on the bit rows: O(n^2 / 64) word operations a jump at most.
     """
     for rows in _replay(s):
         pass
-    return Tournament(_matrix(rows))
+    return Tournament._trusted(rows)
 
 
 def realize_stages(s: LandauSequence) -> List[Tournament]:
@@ -399,12 +445,21 @@ def realize_stages(s: LandauSequence) -> List[Tournament]:
 
     The returned list runs from the starting regular/nearly-regular
     tournament down to the realization of ``s``; every entry except possibly
-    the last is strong.
+    the last is strong.  Each stage is a copy of the replay's rows.
     """
-    return [Tournament(_matrix(rows)) for rows in _replay(s)]
+    return [Tournament._trusted(rows) for rows in _replay(s)]
 
 
 def count_3cycles(t: Tournament) -> int:
-    """Number of cyclic triples, counted directly from the arc structure."""
-    a = t.adjacency.astype(np.int64)
-    return int(np.trace(a @ a @ a)) // 3
+    """Number of cyclic triples, counted directly from the arc structure.
+
+    trace(A^3) / 3, as the sum of (A @ A) * A.T.  The product runs in
+    float32, which numpy hands to BLAS (int64 it does not): each entry of
+    A @ A is an integer at most n, exact while n < 2^24.  The sum, three
+    times the count and at most n^3 / 2, runs in float64 and is exact below
+    2^53, that is for n up to 200,000.
+    """
+    import numpy as np
+
+    f = t.adjacency.astype(np.float32)
+    return int(((f @ f) * f.T).sum(dtype=np.float64)) // 3

@@ -1,11 +1,16 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import landau
 from landau.cli import REALIZE_CAP, TOURNAMENT_FORMATS, main
 from landau.oracle import enumerate_landau_sequences
 from landau.sequences import down_trace, gr_down_trace, up_trace, validate_landau
@@ -338,3 +343,45 @@ class TestFileInput:
         assert result.exit_code == 2
         assert result.exception is None or isinstance(result.exception, SystemExit)
         assert "error:" in result.output and "not UTF-8" in result.output
+
+
+#: Runs the CLI in a fresh interpreter, then reports on stderr whether numpy
+#: was ever imported, also when the command ends by exiting.
+_NUMPY_PROBE = """
+import sys
+from landau.cli import main
+try:
+    main.main(sys.argv[1:], prog_name="landau")
+finally:
+    sys.stderr.write("numpy imported: %s\\n" % ("numpy" in sys.modules))
+"""
+
+
+class TestNoNumpyOnTheCliPath:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            *(["realize", "1,1,2,3,4,5,6,6", "--format", f] for f in TOURNAMENT_FORMATS),
+            ["validate", "--strong", "1,1,2,3,4,5,6,6"],
+            *(
+                ["trace", "1,1,2,3,4,5,6,6", "--algorithm", a]
+                for a in ("down", "gr-down", "gr-up")
+            ),
+            ["compare", "1,1,2,3,4,5,6,6"],
+            ["enumerate", "5"],
+            ["enumerate", "5", "--stats"],
+        ],
+        ids=" ".join,
+    )
+    def test_command_runs_without_numpy(self, args):
+        src = str(Path(landau.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", _NUMPY_PROBE, *args],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout
+        assert result.stderr.endswith("numpy imported: False\n"), result.stderr

@@ -1,4 +1,4 @@
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 from math import comb
 
 import numpy as np
@@ -19,7 +19,7 @@ from landau.sequences import (
     max_c_value,
     max_down_jumps,
 )
-from landau.tournaments import count_3cycles, from_arcs
+from landau.tournaments import Tournament, count_3cycles, from_arcs
 
 
 def brute_sequences(n):
@@ -160,3 +160,34 @@ class TestReachability:
         arcs |= {(j, i) for i in range(6) for j in range(i + 2, 6)}
         reach = reachability(from_arcs(6, arcs))
         assert reach.all()
+
+    @staticmethod
+    def matrix_warshall(adj):
+        reach = adj | np.eye(adj.shape[0], dtype=bool)
+        for k in range(adj.shape[0]):
+            reach |= np.outer(reach[:, k], reach[k])
+        return reach
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_matches_matrix_warshall_on_every_small_tournament(self, n):
+        for t in enumerate_tournaments(n):
+            reach = reachability(t)
+            assert reach.dtype == bool and reach.shape == (n, n)
+            assert (reach == self.matrix_warshall(t.adjacency)).all()
+
+    @pytest.mark.parametrize("n", [9, 40, 70])
+    @pytest.mark.parametrize("p", [0.05, 0.5, 0.95])
+    def test_matches_matrix_warshall_on_random_tournaments(self, n, p):
+        rng = np.random.default_rng(n + int(100 * p))
+        upper = np.triu(rng.random((n, n)) < p, k=1)
+        adj = upper | (~(upper | upper.T) & np.tri(n, n, -1, dtype=bool))
+        assert (reachability(Tournament(adj)) == self.matrix_warshall(adj)).all()
+
+
+class TestEnumeratedRows:
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_mask_bits_orient_pairs_in_lexicographic_order(self, n):
+        pairs = list(combinations(range(n), 2))
+        for mask, t in enumerate(enumerate_tournaments(n)):
+            for bit, (i, j) in enumerate(pairs):
+                assert t.beats(i, j) == bool(mask >> bit & 1) != t.beats(j, i)

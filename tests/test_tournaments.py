@@ -1,3 +1,4 @@
+from itertools import combinations
 from types import SimpleNamespace
 from typing import List, Optional
 from unittest import mock
@@ -12,6 +13,7 @@ from landau.oracle import enumerate_tournaments, reachability
 from landau.sequences import (
     LandauSequence,
     c_value,
+    down_trace,
     regular_sequence,
     transitive_sequence,
 )
@@ -284,6 +286,11 @@ class TestReversePath:
         with pytest.raises(InvalidPathError):
             reverse_path(t, VertexPath((0, 1)))
 
+    @pytest.mark.parametrize("vertices", [(0, 3), (3, 0), (0, -1), (-1, 0)])
+    def test_vertex_out_of_range(self, vertices):
+        with pytest.raises(ValueError, match="out of range"):
+            reverse_path(three_cycle(), VertexPath(vertices))
+
     def test_path_type_rejects_repeats(self):
         with pytest.raises(ValueError):
             VertexPath((0, 1, 0))
@@ -495,6 +502,135 @@ class TestReplayErrors:
                 realize_stages(s)
 
     def test_score_sequence_rejects_non_landau_scores(self):
-        fake = SimpleNamespace(scores=lambda: np.array([3, 0, 0]))
+        fake = SimpleNamespace(_popcounts=lambda: [3, 0, 0])
         with pytest.raises(TournamentError):
             score_sequence(fake)
+
+
+class TestRowsAgreeWithAdjacency:
+    @staticmethod
+    def check(t: Tournament):
+        adj = t.adjacency
+        n = t.n
+        assert adj.shape == (n, n) and adj.dtype == bool
+        assert t._rows == tuple(sum(1 << int(j) for j in np.flatnonzero(r)) for r in adj)
+        for i in range(n):
+            assert [t.beats(i, j) for j in range(n)] == adj[i].tolist()
+            assert t.out_set(i) == tuple(int(j) for j in np.flatnonzero(adj[i]))
+            assert t.in_set(i) == tuple(int(j) for j in np.flatnonzero(adj[:, i]))
+            assert t.score(i) == int(adj[i].sum())
+        assert list(t.arcs()) == [tuple(int(x) for x in a) for a in np.argwhere(adj)]
+        again = Tournament(adj)
+        assert again == t and hash(again) == hash(t)
+        # what the matrix-backed tournament reported
+        sums = adj.sum(axis=1)
+        assert repr(t) == repr(again) == f"Tournament(n={n}, scores={sums.tolist()})"
+        scores = t.scores()
+        assert scores.dtype == sums.dtype and scores.tolist() == sums.tolist()
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_every_small_tournament(self, n):
+        for t in enumerate_tournaments(n):
+            self.check(t)
+
+    @pytest.mark.parametrize(
+        "s",
+        [
+            transitive_sequence(40),
+            regular_sequence(41),
+            regular_sequence(40),
+            LandauSequence((1, 1, 2, 3, 4, 5, 6, 6)),
+        ],
+    )
+    def test_realize_outputs(self, s):
+        for t in (realize(s), *realize_stages(s)[::7]):
+            self.check(t)
+
+    @pytest.mark.parametrize("n", [7, 8, 9, 64, 65])
+    def test_random_tournaments(self, n):
+        adj = _random_tournament(n, 0.5, np.random.default_rng(n))
+        t = Tournament(adj)
+        assert (t.adjacency == adj).all()
+        assert t == from_arcs(n, map(tuple, np.argwhere(adj)))
+        self.check(t)
+        self.check(from_arcs(n, map(tuple, np.argwhere(adj))))
+
+    def test_indices_wrap_and_range_as_a_matrix_does(self):
+        t = three_cycle()
+        assert t.beats(-1, 0) and not t.beats(0, -1)
+        assert t.in_set(-1) == (1,)
+        with pytest.raises(IndexError):
+            t.beats(0, 3)
+        with pytest.raises(IndexError):
+            t.out_set(3)
+
+    def test_unequal_sizes_and_other_types_are_not_equal(self):
+        assert rotational_regular(3) != rotational_regular(5)
+        assert rotational_regular(3) != rotational_regular(3).adjacency.tolist()
+
+
+class TestAdjacencyCache:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: realize(LandauSequence((0, 1, 3, 3, 3))),
+            lambda: rotational_regular(7),
+            lambda: nearly_regular(8),
+            lambda: three_cycle(),
+            lambda: reverse_path(rotational_regular(5), VertexPath((0, 1))),
+            lambda: Tournament([[0, 1], [0, 0]]),
+        ],
+    )
+    def test_read_only_and_built_once(self, make):
+        t = make()
+        adj = t.adjacency
+        assert adj is t.adjacency
+        with pytest.raises(ValueError):
+            adj[0, 1] = not adj[0, 1]
+        assert t == Tournament(adj)
+
+    def test_constructor_copies_its_argument(self):
+        adj = np.array([[0, 1], [0, 0]], dtype=bool)
+        t = Tournament(adj)
+        adj[0, 1], adj[1, 0] = False, True
+        assert t.beats(0, 1) and t.adjacency[0, 1]
+
+
+class TestRealizeStagesAreSnapshots:
+    @pytest.mark.parametrize(
+        "s", [transitive_sequence(12), LandauSequence((1, 1, 2, 3, 4, 5, 6, 6))]
+    )
+    def test_each_stage_keeps_its_own_scores(self, s):
+        # the replay moves one list of rows; a stage that shared it would
+        # show the last scores instead of its own
+        steps = down_trace(s).steps
+        expected = [steps[-1].after] + [st.before for st in reversed(steps)]
+        stages = realize_stages(s)
+        assert [t._popcounts() for t in stages] == [list(e.scores) for e in expected]
+        assert len(set(stages)) == len(stages)
+        assert stages[-1] == realize(s)
+
+
+class TestCount3CyclesAgainstScores:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: Tournament(_random_tournament(300, 0.5, np.random.default_rng(300))),
+            lambda: transitive(300),
+            lambda: realize(transitive_sequence(300)),
+            lambda: rotational_regular(301),
+            lambda: nearly_regular(300),
+        ],
+    )
+    def test_matches_c_value_at_n_300(self, make):
+        t = make()
+        assert count_3cycles(t) == c_value(score_sequence(t))
+
+    def test_every_small_tournament_against_triples(self):
+        for n in range(3, 6):
+            for t in enumerate_tournaments(n):
+                cyclic = sum(
+                    t.beats(a, b) == t.beats(b, c) == t.beats(c, a)
+                    for a, b, c in combinations(range(n), 3)
+                )
+                assert count_3cycles(t) == cyclic
