@@ -7,7 +7,8 @@ Exit codes: 0 success, 1 domain failure (invalid sequence, or a cap
 exceeded: ``enumerate`` above its order limit, ``realize`` on more than
 ``REALIZE_CAP`` scores), 2 usage or parse error (including a --file that is
 not UTF-8 text).  No subcommand imports numpy: tournaments are rendered from
-their bit rows and written one row at a time.
+their bit rows, and ``realize`` and ``trace`` write their output as it is
+made, in chunks of about 64 KiB.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import asdict
-from itertools import compress, islice
+from itertools import compress
 from typing import Iterator, List, Sequence, Tuple
 
 import click
@@ -37,9 +38,9 @@ from .sequences import (
 from .tournaments import Tournament, realize as realize_tournament
 
 #: Longest sequence ``landau realize`` accepts: the realized tournament is n
-#: bit rows, n^2/8 bytes (12.5 MB at the cap), the output is written one row
-#: at a time, and the replay makes up to n^2/8 path reversals.  Longer input
-#: exits 1 before anything is built.
+#: bit rows, n^2/8 bytes (12.5 MB at the cap), the output is written in
+#: chunks of about 64 KiB, and the replay makes up to n^2/8 path reversals.
+#: Longer input exits 1 before anything is built.
 REALIZE_CAP = 10_000
 
 
@@ -89,10 +90,24 @@ def _json_ints(scores: Sequence[int]) -> str:
     return json.dumps(list(scores))
 
 
+#: ``_echo_stream`` echoes once this many characters of output are joined.
+ECHO_CHUNK = 1 << 16
+
+
 def _echo_stream(pieces: Iterator[str]) -> None:
-    """Echo text as it is made; one echo (a write and a flush) per 1024 pieces."""
-    for chunk in iter(lambda: "".join(islice(pieces, 1024)), ""):
-        click.echo(chunk, nl=False)
+    """Echo text as it is made, one echo (a write and a flush) per ECHO_CHUNK
+    characters or so: an echo holds less than ECHO_CHUNK plus one piece."""
+    chunk: List[str] = []
+    size = 0
+    for piece in pieces:
+        chunk.append(piece)
+        size += len(piece)
+        if size >= ECHO_CHUNK:
+            click.echo("".join(chunk), nl=False)
+            chunk.clear()
+            size = 0
+    if chunk:
+        click.echo("".join(chunk), nl=False)
 
 
 @click.group()

@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import enum
 import operator
+from array import array
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import partial
-from itertools import accumulate, compress, count, repeat
+from itertools import accumulate, chain, compress, count, repeat
 from math import comb
 from operator import gt, lt
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
@@ -291,22 +292,129 @@ class JumpStep:
 _STEP_SLOTS = tuple(getattr(JumpStep, name).__set__ for name in JumpStep.__slots__)
 
 
-@dataclass(frozen=True)
-class JumpTrace:
-    """A chained list of jump steps from ``start`` to ``end``."""
+#: The unit of score each algorithm moves: added at ``low`` and at ``high``.
+_MOVES = {
+    JumpAlgorithm.DOWN: (1, -1),
+    JumpAlgorithm.GR_DOWN: (1, -1),
+    JumpAlgorithm.GR_UP: (-1, 1),
+}
 
-    start: LandauSequence
-    end: LandauSequence
-    steps: tuple
+
+class JumpTrace:
+    """A chain of jumps from ``start`` to ``end``, held as their positions.
+
+    A trace keeps the two sequences, the algorithm and each step's 1-based
+    ``(low, high)`` pair, 8 bytes a step; every step is rebuilt from these
+    by replaying the pairs on a copy of ``start``.  ``steps`` rebuilds the
+    whole tuple of :class:`JumpStep` on each read and does not keep it, so
+    read it once.  Equality, hashing and ``repr`` are those of the tuple
+    (start, end, steps).
+    """
+
+    __slots__ = ("start", "end", "_algorithm", "_pairs")
+
+    def __init__(
+        self, start: LandauSequence, end: LandauSequence, steps: Sequence[JumpStep]
+    ):
+        """Hold ``steps``, which must chain from ``start`` to ``end`` under one
+        algorithm; raises ``ValueError`` otherwise."""
+        steps = tuple(steps)
+        algorithms = {step.algorithm for step in steps}
+        if len(algorithms) > 1:
+            raise ValueError("steps mix jump algorithms")
+        try:
+            pairs = array("I", chain.from_iterable((st.low, st.high) for st in steps))
+        except (TypeError, OverflowError) as exc:
+            raise ValueError(f"step positions must be positive ints: {exc}") from None
+        if pairs and (min(pairs) < 1 or max(pairs) > len(start)):
+            raise ValueError(f"step positions must lie in 1..{len(start)}")
+        _init_trace(self, start, end, algorithms.pop() if steps else None, pairs)
+        if self.steps != steps or (steps[-1].after if steps else start) != end:
+            raise ValueError("steps do not chain from start to end")
+
+    @classmethod
+    def _trusted(
+        cls,
+        start: LandauSequence,
+        end: LandauSequence,
+        algorithm: Optional[JumpAlgorithm],
+        pairs: array,
+    ) -> "JumpTrace":
+        # A walk's own trace: the pairs take start to end under the algorithm.
+        self = object.__new__(cls)
+        _init_trace(self, start, end, algorithm, pairs)
+        return self
 
     def __len__(self) -> int:
-        return len(self.steps)
+        return len(self._pairs) // 2
+
+    def pairs(self) -> Iterator[Tuple[int, int]]:
+        """Yield each step's ``(low, high)`` positions."""
+        positions = iter(self._pairs)
+        return zip(positions, positions)
 
     def sequences(self) -> Iterator[LandauSequence]:
         """Yield start, then the sequence after each step."""
         yield self.start
-        for step in self.steps:
-            yield step.after
+        if self._pairs:
+            scores = list(self.start.scores)
+            at_low, at_high = _MOVES[self._algorithm]
+            new_sequence = LandauSequence._trusted
+            for low, high in self.pairs():
+                scores[low - 1] += at_low
+                scores[high - 1] += at_high
+                yield new_sequence(tuple(scores))
+
+    @property
+    def steps(self) -> tuple:
+        """The tuple of :class:`JumpStep`, rebuilt from the pairs on each read."""
+        seqs, pairs = list(self.sequences()), self._pairs
+        return tuple(
+            map(
+                JumpStep._trusted,
+                seqs,
+                seqs[1:],
+                pairs[0::2],
+                pairs[1::2],
+                repeat(self._algorithm),
+            )
+        )
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        # equal steps: equal pairs, and one algorithm unless there are none
+        return (
+            self.start == other.start
+            and self.end == other.end
+            and self._pairs == other._pairs
+            and (self._algorithm is other._algorithm or not self._pairs)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.start, self.end, self.steps))
+
+    def __repr__(self) -> str:
+        return (
+            f"JumpTrace(start={self.start!r}, end={self.end!r}, steps={self.steps!r})"
+        )
+
+    def __reduce__(self):
+        return JumpTrace._trusted, (self.start, self.end, self._algorithm, self._pairs)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+_TRACE_SLOTS = tuple(getattr(JumpTrace, name).__set__ for name in JumpTrace.__slots__)
+
+
+def _init_trace(self, *values) -> None:
+    for set_slot, value in zip(_TRACE_SLOTS, values):
+        set_slot(self, value)
 
 
 # Step rules of down_jump_step, gr_down_step and up_step.  Each moves one unit
@@ -387,14 +495,9 @@ def _step(algorithm: JumpAlgorithm, rule: Callable, s: LandauSequence) -> JumpSt
 
 def _trace(algorithm: JumpAlgorithm, s: LandauSequence) -> JumpTrace:
     rule, start, end = _walk_plan(algorithm, s)
-    new_sequence, new_step = LandauSequence._trusted, JumpStep._trusted
-    scores, steps, before = list(start.scores), [], start
-    append = steps.append
-    for low, high in _walk(rule, scores, list(end.scores)):
-        after = new_sequence(tuple(scores))
-        append(new_step(before, after, low, high, algorithm))
-        before = after
-    return JumpTrace(start, before, tuple(steps))
+    walk = _walk(rule, list(start.scores), list(end.scores))
+    pairs = array("I", chain.from_iterable(walk))
+    return JumpTrace._trusted(start, end, algorithm, pairs)
 
 
 def down_jump_step(s: LandauSequence) -> JumpStep:

@@ -17,14 +17,7 @@ import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .sequences import (
-    LandauSequence,
-    _down_rule,
-    _prefix_equalities,
-    _walk,
-    regular_sequence,
-    validate_landau,
-)
+from .sequences import LandauSequence, _prefix_equalities, down_trace, validate_landau
 
 if TYPE_CHECKING:
     import numpy as np
@@ -405,13 +398,13 @@ def _replay(s: LandauSequence) -> Iterator[List[int]]:
     Yields the starting regular/nearly-regular rows (see ``_shortest_path``
     for the layout), then the same list again after each path reversal: for
     a jump with positions (p, q), a shortest path from vertex p-1 to vertex
-    q-1 is reversed, two XORs per arc.
+    q-1 is reversed, two XORs per arc.  The walk is held as the trace's
+    flat array of positions, 8 bytes a jump, and read from its end.
     """
-    target = list(regular_sequence(s.n).scores)
-    pairs = list(_walk(_down_rule, list(s.scores), target))
+    positions = reversed(down_trace(s)._pairs)
     rows = _base_rows(s.n)
     yield rows
-    for p, q in reversed(pairs):
+    for q, p in zip(positions, positions):
         path = _shortest_path(rows, p - 1, q - 1)
         if path is None:
             raise UnreachableError(

@@ -6,15 +6,16 @@ import sys
 from pathlib import Path
 from unittest import mock
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
 import landau
-from landau.cli import REALIZE_CAP, TOURNAMENT_FORMATS, main
+from landau.cli import _RENDERERS, ECHO_CHUNK, REALIZE_CAP, TOURNAMENT_FORMATS, main
 from landau.oracle import enumerate_landau_sequences
 from landau.sequences import down_trace, gr_down_trace, up_trace, validate_landau
-from landau.tournaments import from_arcs, score_sequence
+from landau.tournaments import from_arcs, realize, score_sequence
 
 
 @pytest.fixture
@@ -124,6 +125,21 @@ class TestRealize:
         assert result.exit_code == 0
         digest = hashlib.sha256(result.output.encode()).hexdigest()
         assert digest == self.FORMAT_DIGESTS[fmt]
+
+    @pytest.mark.parametrize("fmt", TOURNAMENT_FORMATS)
+    def test_echoes_hold_a_chunk_plus_one_row(self, runner, pinned, fmt):
+        with mock.patch("landau.cli.click.echo", wraps=click.echo) as echo:
+            result = invoke(runner, "realize", "--file", pinned, "--format", fmt)
+        writes = [call.args[0] for call in echo.call_args_list]
+        assert "".join(writes) == result.output
+        tournaments = [
+            realize(validate_landau([int(x) for x in line.split(",")]))
+            for line in Path(pinned).read_text().split()
+        ]
+        longest_row = max(len(row) for t in tournaments for row in _RENDERERS[fmt](t))
+        assert max(map(len, writes)) < ECHO_CHUNK + longest_row
+        if fmt == "json":  # the random n=200 tournament alone is about 240 KB
+            assert len(writes) > 3
 
     @pytest.mark.parametrize("fmt", TOURNAMENT_FORMATS)
     def test_single_vertex(self, runner, fmt):

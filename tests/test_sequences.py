@@ -1,4 +1,5 @@
 import pickle
+import tracemalloc
 from dataclasses import FrozenInstanceError
 from itertools import product
 from math import comb
@@ -575,3 +576,178 @@ class TestWalkEngineAgainstReference:
     def test_gr_down_step_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
             gr_down_step(seq(0, 1), seq(1, 1, 1))
+
+
+def _reference_chain(step_fn, start: LandauSequence, end: LandauSequence) -> tuple:
+    """The steps of a walk from ``start`` to ``end``, one reference step at a time."""
+    steps, cur = [], start
+    while cur != end:
+        steps.append(step_fn(cur))
+        cur = steps[-1].after
+    return tuple(steps)
+
+
+def _reference_walks(s: LandauSequence):
+    """(trace, start, end, reference steps) of the three walks of ``s``."""
+    r, tr = regular_sequence(s.n), transitive_sequence(s.n)
+    return [
+        (down_trace(s), s, r, _reference_chain(_reference_down_jump_step, s, r)),
+        (
+            gr_down_trace(s),
+            tr,
+            s,
+            _reference_chain(lambda u: _reference_gr_down_step(u, s), tr, s),
+        ),
+        (up_trace(s), s, tr, _reference_chain(_reference_up_step, s, tr)),
+    ]
+
+
+#: multi-step traces of all three walks, and the empty traces at n = 1 and 2
+PINNED = [
+    (0,),
+    (0, 1),
+    (1, 1, 2, 2),
+    (0, 1, 2, 3, 4),
+    (2, 2, 2, 2, 2),
+    (1, 1, 2, 3, 4, 4),
+]
+
+
+class TestTracePins:
+    """``==``, ``hash``, ``repr`` and pickling of traces, as a frozen dataclass of
+    (start, end, steps) gives them."""
+
+    def test_repr_literals(self):
+        assert repr(down_trace(seq(0))) == (
+            "JumpTrace(start=LandauSequence(scores=(0,)), "
+            "end=LandauSequence(scores=(0,)), steps=())"
+        )
+        assert repr(up_trace(seq(1, 1, 2, 2))) == (
+            "JumpTrace(start=LandauSequence(scores=(1, 1, 2, 2)), "
+            "end=LandauSequence(scores=(0, 1, 2, 3)), "
+            "steps=(JumpStep(before=LandauSequence(scores=(1, 1, 2, 2)), "
+            "after=LandauSequence(scores=(0, 2, 2, 2)), low=1, high=2, "
+            "algorithm=<JumpAlgorithm.GR_UP: 'gr-up'>), "
+            "JumpStep(before=LandauSequence(scores=(0, 2, 2, 2)), "
+            "after=LandauSequence(scores=(0, 1, 2, 3)), low=2, high=4, "
+            "algorithm=<JumpAlgorithm.GR_UP: 'gr-up'>)))"
+        )
+
+    @pytest.mark.parametrize("scores", PINNED)
+    def test_eq_hash_repr_pickle_match_the_fields(self, scores):
+        for trace, start, end, steps in _reference_walks(seq(*scores)):
+            assert trace == JumpTrace(start, end, steps)
+            assert hash(trace) == hash((start, end, steps))
+            assert repr(trace) == (
+                f"JumpTrace(start={start!r}, end={end!r}, steps={steps!r})"
+            )
+            copy = pickle.loads(pickle.dumps(trace))
+            assert copy == trace and hash(copy) == hash(trace)
+            assert repr(copy) == repr(trace) and copy.steps == steps
+
+    def test_multi_step_pins_cover_every_walk(self):
+        lengths = [
+            [len(steps) for *_, steps in _reference_walks(seq(*scores))]
+            for scores in PINNED
+        ]
+        assert all(max(column) >= 2 for column in zip(*lengths))
+
+    def test_empty_traces_are_equal_across_walks(self):
+        for scores in [(0,), (0, 1)]:
+            s = seq(*scores)
+            traces = [down_trace(s), gr_down_trace(s), up_trace(s), JumpTrace(s, s, ())]
+            for a, b in product(traces, repeat=2):
+                assert a == b and hash(a) == hash(b)
+        assert down_trace(seq(0, 1)) == up_trace(seq(0, 1))
+
+    def test_equal_pairs_of_two_walks_are_unequal(self):
+        # both walks go Tr_3 -> R_3 by the one jump (1, 3); steps differ in
+        # their algorithm, so the traces differ
+        down = down_trace(transitive_sequence(3))
+        gr = gr_down_trace(regular_sequence(3))
+        assert [(st.low, st.high) for st in down.steps] == [(1, 3)]
+        assert [(st.low, st.high) for st in gr.steps] == [(1, 3)]
+        assert (down.start, down.end) == (gr.start, gr.end)
+        assert down != gr
+        assert down != (down.start, down.end, down.steps)
+
+    def test_frozen(self):
+        trace = down_trace(seq(0, 1, 2))
+        for name in ("start", "end", "steps"):
+            with pytest.raises(AttributeError):
+                setattr(trace, name, None)
+
+
+class TestTraceConstructor:
+    def walk(self):
+        return gr_down_trace(seq(2, 2, 2, 2, 2))
+
+    def test_rebuilds_an_equal_trace(self):
+        trace = self.walk()
+        assert JumpTrace(trace.start, trace.end, list(trace.steps)) == trace
+
+    def test_rejects_steps_that_do_not_chain(self):
+        trace = self.walk()
+        start, end, steps = trace.start, trace.end, trace.steps
+        assert len(steps) == 3
+        broken = [
+            (end, end, steps),  # wrong start
+            (start, start, steps),  # wrong end
+            (start, end, steps[:1] + steps[2:]),  # a step missing
+            (start, end, ()),  # no steps between different sequences
+            (start, end, steps[::-1]),
+        ]
+        first = steps[0]
+        for low, high in [(first.low + 1, first.high), (0, first.high), (1, 6)]:
+            wrong = JumpStep(first.before, first.after, low, high, first.algorithm)
+            broken.append((start, end, (wrong,) + steps[1:]))
+        for args in broken:
+            with pytest.raises(ValueError):
+                JumpTrace(*args)
+
+    def test_rejects_mixed_algorithms(self):
+        # down and gr-down move the same way, so the steps still chain
+        trace = self.walk()
+        start, end, steps = trace.start, trace.end, trace.steps
+        first = steps[0]
+        relabelled = JumpStep(
+            first.before, first.after, first.low, first.high, JumpAlgorithm.DOWN
+        )
+        with pytest.raises(ValueError):
+            JumpTrace(start, end, (relabelled,) + steps[1:])
+
+
+def _peak_bytes(fn, *args):
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+class TestTraceMemory:
+    def test_down_trace_of_transitive_400(self):
+        s = transitive_sequence(400)
+        trace, peak = _peak_bytes(down_trace, s)
+        assert len(trace) == max_down_jumps(400) == 19_900
+        assert peak < 5e6
+
+    def test_up_trace_of_regular_101(self):
+        s = regular_sequence(101)
+        trace, peak = _peak_bytes(up_trace, s)
+        assert len(trace) == max_c_value(101) == 42_925
+        assert peak < 1e6
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_len_end_sequences_and_pairs_match_the_steps(self, n):
+        for s in enumerate_landau_sequences(n):
+            for trace in (down_trace(s), gr_down_trace(s), up_trace(s)):
+                steps = trace.steps
+                assert len(trace) == len(steps)
+                assert trace.end == (steps[-1].after if steps else trace.start)
+                assert list(trace.sequences()) == [trace.start] + [
+                    st.after for st in steps
+                ]
+                assert list(trace.pairs()) == [(st.low, st.high) for st in steps]
