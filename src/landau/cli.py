@@ -25,7 +25,6 @@ from . import oracle
 from .sequences import (
     JumpAlgorithm,
     LandauSequence,
-    _walk,
     _walk_plan,
     c_value,
     distance,
@@ -266,10 +265,10 @@ def trace(sequence, file_, algorithm, fmt):
     render = _trace_json if fmt == "json" else _trace_text
     for literal in _gather_literals(sequence, file_):
         s = _require_valid(_parse_literal(literal))
-        rule, start, end = _walk_plan(JumpAlgorithm(algorithm), s)
+        walk, start, end = _walk_plan(JumpAlgorithm(algorithm), s)
         # each step is written as the walk makes it, from the list it moves
         scores = list(start.scores)
-        pairs = _walk(rule, scores, list(end.scores))
+        pairs = walk(scores, list(end.scores))
         _echo_stream(render(start, end, pairs, scores))
 
 

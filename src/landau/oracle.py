@@ -12,13 +12,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import comb
-from typing import TYPE_CHECKING, Iterator, List, Optional
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence
 
 from .sequences import (
     LandauSequence,
     ScoreVector,
-    _down_rule,
-    _walk,
+    _down_walk,
     c_value,
     regular_sequence,
 )
@@ -143,21 +142,42 @@ class EnumerationStats:
     max_c: int
 
 
+def _down_walk_lengths(seqs: Sequence[LandauSequence], n: int) -> Dict[tuple, int]:
+    """Length of the down walk from each of ``seqs`` to R_n, by score tuple.
+
+    Each sequence takes real down jumps until it reaches one whose length is
+    known, or R_n; the lengths are then filled back along its path.  A down
+    jump lands strictly lower in the total order, so in ascending order every
+    sequence takes one jump, and the keys are the tuples of ``seqs``.
+    """
+    target = list(regular_sequence(n).scores)
+    lengths: Dict[tuple, int] = {}
+    for s in seqs:
+        if s.scores in lengths:
+            continue
+        path, a, known = [s.scores], list(s.scores), -1
+        for _ in _down_walk(a, target):
+            t = tuple(a)
+            known = lengths.get(t, -1)
+            if known >= 0:
+                break
+            path.append(t)
+        # without a break the path ends at R_n, whose length is 0
+        for i, t in enumerate(reversed(path), start=known + 1):
+            lengths[t] = i
+    return lengths
+
+
 def stats(n: int) -> EnumerationStats:
     """Enumerate order n and aggregate trace lengths and 3-cycle counts."""
     seqs = enumerate_landau_sequences(n)
     realizable = None
     if n <= TOURNAMENT_CAP:
         realizable = sum(1 for s in seqs if realizable_by_brute_force(s.scores))
-    # walk every down trace for real, counting its pairs without building steps
-    target = list(regular_sequence(n).scores)
-    max_trace_length = max(
-        sum(1 for _ in _walk(_down_rule, list(s.scores), target)) for s in seqs
-    )
     return EnumerationStats(
         n=n,
         sequence_count=len(seqs),
         realizable_count=realizable,
-        max_trace_length=max_trace_length,
+        max_trace_length=max(_down_walk_lengths(seqs, n).values()),
         max_c=max(c_value(s) for s in seqs),
     )

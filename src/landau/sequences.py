@@ -19,10 +19,9 @@ import operator
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import FrozenInstanceError, dataclass
-from functools import partial
 from itertools import accumulate, chain, compress, count, repeat
 from math import comb
-from operator import gt, lt
+from operator import lt
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
 #: Raw, unvalidated score input: any sequence of integers of length >= 1.
@@ -417,86 +416,84 @@ def _init_trace(self, *values) -> None:
         set_slot(self, value)
 
 
-# Step rules of down_jump_step, gr_down_step and up_step.  Each moves one unit
-# of score in a sorted list, in place, and returns the 1-based (low, high)
-# positions it moved.  Run ends are found by bisect; the other scans run in C
-# or are amortized over the walk.
-def _down_rule(a: List[int]) -> Tuple[int, int]:
-    p = bisect_right(a, a[0])
-    q = bisect_left(a, a[-1]) + 1
-    a[p - 1] += 1
-    a[q - 1] -= 1
-    return p, q
+# The three walks.  Each moves one unit of score at a time in a sorted list,
+# in place, until the list equals ``target``, and yields the 1-based
+# (low, high) positions of each step.  The walk ends on reaching the target,
+# not after a precomputed count.  Run ends are found by bisect, and the other
+# scans resume where the previous step left them, so a whole walk's scans
+# cost O(steps + n).
+def _down_walk(a: List[int], target: List[int]) -> Iterator[Tuple[int, int]]:
+    while a != target:
+        p = bisect_right(a, a[0])
+        q = bisect_left(a, a[-1]) + 1
+        a[p - 1] += 1
+        a[q - 1] -= 1
+        yield p, q
 
 
-def _gr_down_rule(target: Sequence[int], a: List[int]) -> Tuple[int, int]:
-    alpha = _first_true(map(lt, a, target))
-    gamma = _first_true(map(gt, a, target))
-    beta = bisect_right(a, a[alpha - 1])
-    a[beta - 1] += 1
-    a[gamma - 1] -= 1
-    return beta, gamma
+def _gr_down_walk(a: List[int], target: List[int]) -> Iterator[Tuple[int, int]]:
+    # alpha is the first position short of the target and gamma the first
+    # above it (0-based here).  A step raises beta to at most target[beta],
+    # since a[beta] = a[alpha] < target[alpha] <= target[beta], and lowers
+    # gamma to at least target[gamma].  So no position becomes short of the
+    # target or above it: both first positions only move right, and each
+    # scan resumes from its cursor.
+    alpha = gamma = 0
+    while a != target:
+        while a[alpha] >= target[alpha]:
+            alpha += 1
+        while a[gamma] <= target[gamma]:
+            gamma += 1
+        beta = bisect_right(a, a[alpha])
+        a[beta - 1] += 1
+        a[gamma] -= 1
+        yield beta, gamma + 1
 
 
-def _up_rule() -> Callable[[List[int]], Tuple[int, int]]:
-    """A fresh up rule for one walk, with the scan for k amortized over it.
-
-    A step lowers position k and raises one after it, so positions before
-    k-1 stay strictly increasing and the next step's k is k-1 or later: each
-    scan restarts there, and the scans of a whole walk take O(steps + n).
-    """
+def _up_walk(a: List[int], target: List[int]) -> Iterator[Tuple[int, int]]:
+    # k is the first position of a repeated value.  A step lowers position k
+    # and raises one after it, so positions before k-1 stay strictly
+    # increasing and the next step's k is k-1 or later: each scan restarts
+    # there.
     k = 1
-
-    def rule(a: List[int]) -> Tuple[int, int]:
-        nonlocal k
+    while a != target:
         while a[k - 1] != a[k]:
             k += 1
-        low, high = k, bisect_right(a, a[k - 1])
-        a[low - 1] -= 1
+        high = bisect_right(a, a[k - 1])
+        a[k - 1] -= 1
         a[high - 1] += 1
+        yield k, high
         if k > 1:
             k -= 1
-        return low, high
-
-    return rule
-
-
-def _walk(rule: Callable, scores: List[int], target: List[int]) -> Iterator[tuple]:
-    """Apply ``rule`` to ``scores`` in place until they equal ``target``.
-
-    A rule moves one unit of score in the sorted list and returns the 1-based
-    (low, high) positions it moved; each pair is yielded.  The walk ends on
-    reaching the target, not after a precomputed count.
-    """
-    while scores != target:
-        yield rule(scores)
 
 
 def _walk_plan(
     algorithm: JumpAlgorithm, s: LandauSequence
 ) -> Tuple[Callable, LandauSequence, LandauSequence]:
-    """The rule, start and end of the trace of ``algorithm`` for ``s``.
+    """The walk, start and end of the trace of ``algorithm`` for ``s``.
 
     down walks from s to R_n, gr-down from Tr_n to s, gr-up from s to Tr_n.
     """
     if algorithm is JumpAlgorithm.DOWN:
-        return _down_rule, s, regular_sequence(s.n)
+        return _down_walk, s, regular_sequence(s.n)
     if algorithm is JumpAlgorithm.GR_DOWN:
-        return partial(_gr_down_rule, s.scores), transitive_sequence(s.n), s
-    return _up_rule(), s, transitive_sequence(s.n)
+        return _gr_down_walk, transitive_sequence(s.n), s
+    return _up_walk, s, transitive_sequence(s.n)
 
 
-def _step(algorithm: JumpAlgorithm, rule: Callable, s: LandauSequence) -> JumpStep:
+def _step(
+    algorithm: JumpAlgorithm, walk: Callable, s: LandauSequence, target: LandauSequence
+) -> JumpStep:
+    # the first step of the walk from s toward target; s is not the target
     scores = list(s.scores)
-    low, high = rule(scores)
+    low, high = next(walk(scores, list(target.scores)))
     after = LandauSequence._trusted(tuple(scores))
     return JumpStep._trusted(s, after, low, high, algorithm)
 
 
 def _trace(algorithm: JumpAlgorithm, s: LandauSequence) -> JumpTrace:
-    rule, start, end = _walk_plan(algorithm, s)
-    walk = _walk(rule, list(start.scores), list(end.scores))
-    pairs = array("I", chain.from_iterable(walk))
+    walk, start, end = _walk_plan(algorithm, s)
+    pairs = array("I", chain.from_iterable(walk(list(start.scores), list(end.scores))))
     return JumpTrace._trusted(start, end, algorithm, pairs)
 
 
@@ -508,9 +505,10 @@ def down_jump_step(s: LandauSequence) -> JumpStep:
     position q loses 1.  The result stays valid and sits strictly below the
     input in the total order, two closer to the regular sequence in 1-norm.
     """
-    if s.scores == regular_sequence(s.n).scores:
+    r = regular_sequence(s.n)
+    if s.scores == r.scores:
         raise AlreadyRegular(str(s))
-    return _step(JumpAlgorithm.DOWN, _down_rule, s)
+    return _step(JumpAlgorithm.DOWN, _down_walk, s, r)
 
 
 def down_trace(s: LandauSequence) -> JumpTrace:
@@ -529,7 +527,7 @@ def gr_down_step(u: LandauSequence, target: LandauSequence) -> JumpStep:
         raise ValueError("sequences must have equal length")
     if u.scores == target.scores:
         raise Converged(str(u))
-    return _step(JumpAlgorithm.GR_DOWN, partial(_gr_down_rule, target.scores), u)
+    return _step(JumpAlgorithm.GR_DOWN, _gr_down_walk, u, target)
 
 
 def gr_down_trace(target: LandauSequence) -> JumpTrace:
@@ -543,9 +541,10 @@ def up_step(s: LandauSequence) -> JumpStep:
     k is the first position of a repeated value and m the multiplicity of
     that value; position k loses 1 and position k+m-1 gains 1.
     """
-    if s.scores == transitive_sequence(s.n).scores:
+    tr = transitive_sequence(s.n)
+    if s.scores == tr.scores:
         raise AlreadyTransitive(str(s))
-    return _step(JumpAlgorithm.GR_UP, _up_rule(), s)
+    return _step(JumpAlgorithm.GR_UP, _up_walk, s, tr)
 
 
 def up_trace(s: LandauSequence) -> JumpTrace:

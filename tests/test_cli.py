@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from unittest import mock
 
@@ -10,11 +11,19 @@ import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import landau
 from landau.cli import _RENDERERS, ECHO_CHUNK, REALIZE_CAP, TOURNAMENT_FORMATS, main
 from landau.oracle import enumerate_landau_sequences
-from landau.sequences import down_trace, gr_down_trace, up_trace, validate_landau
+from landau.sequences import (
+    down_trace,
+    first_violation,
+    gr_down_trace,
+    up_trace,
+    validate_landau,
+)
 from landau.tournaments import from_arcs, realize, score_sequence
 
 
@@ -291,6 +300,13 @@ class TestEnumerate:
         payload = json.loads(invoke(runner, "enumerate", "3", "--format", "json").output)
         assert payload == [[1, 1, 1], [0, 1, 2]]
 
+    def test_stats_n12_json_pin(self, runner):
+        result = run(runner, "enumerate", "12", "--stats", "--format", "json")
+        assert result.output == (
+            '{"n": 12, "sequence_count": 14805, "realizable_count": null, '
+            '"max_trace_length": 15, "max_c": 70}\n'
+        )
+
 
 class TestCompare:
     def get(self, runner, literal):
@@ -359,6 +375,109 @@ class TestFileInput:
         assert result.exit_code == 2
         assert result.exception is None or isinstance(result.exception, SystemExit)
         assert "error:" in result.output and "not UTF-8" in result.output
+
+
+def _ints_literal(ints) -> str:
+    return ",".join(map(str, ints))
+
+
+#: Sequence literals that are not score sequences: floats, bools, huge ints,
+#: empty literals, text without digits, and unsorted, negative or wrong-total
+#: integer scores.
+junk_literals = st.one_of(
+    st.lists(st.floats(allow_nan=True), min_size=1, max_size=6).map(_ints_literal),
+    st.lists(st.booleans(), min_size=1, max_size=6).map(_ints_literal),
+    st.lists(
+        st.integers(min_value=2**63, max_value=10**40), min_size=1, max_size=6
+    ).map(_ints_literal),
+    st.just(",".join(["9" * 5000, "1"])),
+    st.sampled_from(["", " ", ",", " , ,", "\t\n"]),
+    st.text(alphabet=st.characters(blacklist_categories=("Nd", "Cs")), max_size=12),
+    st.lists(st.integers(min_value=-5, max_value=40), min_size=1, max_size=12)
+    .filter(lambda v: first_violation(v) is not None)
+    .map(_ints_literal),
+)
+
+
+def _is_utf8(data: bytes) -> bool:
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError:
+        return False
+    return True
+
+
+#: ``--file`` contents that hold no score sequence: bytes that are not UTF-8,
+#: or lines of junk literals (an empty file among them).
+junk_files = st.one_of(
+    st.binary(min_size=1, max_size=64).filter(lambda b: not _is_utf8(b)),
+    st.lists(junk_literals, max_size=3).map(lambda ls: "\n".join(ls).encode()),
+)
+
+#: ``enumerate`` orders that are not in 1..12: floats, bools, empty, text,
+#: and zero, negative or huge integers.
+junk_orders = st.one_of(
+    st.floats(allow_nan=True).map(str),
+    st.sampled_from(["True", "False", "", " ", "1.0", "1e3", "0x5", "twelve"]),
+    st.integers(max_value=0).map(str),
+    st.integers(min_value=13, max_value=10**40).map(str),
+    st.just("9" * 5000),
+)
+
+
+def _assert_clean_failure(result) -> None:
+    """Exit 1 or 2 with a message, and no exception other than the exit."""
+    assert result.exit_code in (1, 2), (result.exit_code, result.output)
+    assert result.exception is None or isinstance(result.exception, SystemExit), (
+        result.exception
+    )
+    assert result.output.strip()
+    assert "Traceback" not in result.output
+
+
+class TestJunkInput:
+    @pytest.mark.parametrize("algorithm", ["down", "gr-down", "gr-up"])
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(literal=junk_literals)
+    def test_trace_literal(self, runner, algorithm, literal):
+        result = invoke(runner, "trace", "--algorithm", algorithm, "--", literal)
+        _assert_clean_failure(result)
+
+    @pytest.mark.parametrize("algorithm", ["down", "gr-down", "gr-up"])
+    @settings(
+        max_examples=30,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=junk_files, fmt=st.sampled_from(["text", "json"]))
+    def test_trace_file(self, runner, algorithm, data, fmt):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "seqs.txt"
+            path.write_bytes(data)
+            result = invoke(
+                runner, "trace", "--file", str(path), "--algorithm", algorithm,
+                "--format", fmt,
+            )
+        _assert_clean_failure(result)
+        if not _is_utf8(data):
+            assert result.exit_code == 2 and "not UTF-8" in result.output
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        order=junk_orders,
+        extra=st.sampled_from([(), ("--stats",), ("--format", "json")]),
+    )
+    def test_enumerate_order(self, runner, order, extra):
+        result = invoke(runner, "enumerate", *extra, "--", order)
+        _assert_clean_failure(result)
 
 
 #: Runs the CLI in a fresh interpreter, then reports on stderr whether numpy

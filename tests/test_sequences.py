@@ -602,6 +602,48 @@ def _reference_walks(s: LandauSequence):
     ]
 
 
+def _first_where(flags) -> int:
+    """1-based position of the first true flag, or one past the end."""
+    flags = list(flags)
+    return flags.index(True) + 1 if True in flags else len(flags) + 1
+
+
+def _assert_resumed_scans_hold(s: LandauSequence) -> None:
+    """The facts the gr-down and up walks' resumed scans rely on, read off
+    the reference chains: along the gr-down walk to ``s`` no position becomes
+    short of ``s`` or above it, so the first short position (alpha) and the
+    first excess position (gamma) never decrease; along the up walk, k (the
+    first position of a repeated value) never drops by more than one."""
+    tr = transitive_sequence(s.n)
+    chain = _reference_chain(lambda u: _reference_gr_down_step(u, s), tr, s)
+    seen_alpha = seen_gamma = 0
+    for step in chain:
+        short = [x < y for x, y in zip(step.before.scores, s.scores)]
+        excess = [x > y for x, y in zip(step.before.scores, s.scores)]
+        after_short = [x < y for x, y in zip(step.after.scores, s.scores)]
+        after_excess = [x > y for x, y in zip(step.after.scores, s.scores)]
+        assert not any(a and not b for a, b in zip(after_short, short)), (s, step)
+        assert not any(a and not b for a, b in zip(after_excess, excess)), (s, step)
+        alpha, gamma = _first_where(short), _first_where(excess)
+        assert gamma == step.high
+        assert alpha >= seen_alpha and gamma >= seen_gamma, (s, step)
+        seen_alpha, seen_gamma = alpha, gamma
+    ks = [step.low for step in _reference_chain(_reference_up_step, s, tr)]
+    assert all(k >= prev - 1 for prev, k in zip(ks, ks[1:])), (s, ks)
+
+
+class TestResumedScanInvariants:
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_every_sequence_up_to_9(self, n):
+        for s in enumerate_landau_sequences(n):
+            _assert_resumed_scans_hold(s)
+
+    @settings(max_examples=40, deadline=None)
+    @given(valid_sequences())
+    def test_drawn_sequences_up_to_40(self, s):
+        _assert_resumed_scans_hold(s)
+
+
 #: multi-step traces of all three walks, and the empty traces at n = 1 and 2
 PINNED = [
     (0,),
