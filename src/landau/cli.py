@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: validate, realize, trace, enumerate, compare.  Sequences are
-given as a comma- or whitespace-separated literal argument, or one per line
+given as a comma- or whitespace-separated literal argument (one that starts
+with a minus sign, such as ``-1,1,3``, is a literal too), or one per line
 via --file for batch runs.  Results go to stdout, diagnostics to stderr.
 Exit codes: 0 success, 1 domain failure (invalid sequence, or a cap
 exceeded: ``enumerate`` above its order limit, ``realize`` on more than
@@ -16,7 +17,7 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import asdict
-from itertools import compress
+from itertools import chain, compress
 from typing import Iterator, List, Sequence, Tuple
 
 import click
@@ -25,6 +26,7 @@ from . import oracle
 from .sequences import (
     JumpAlgorithm,
     LandauSequence,
+    _replayed,
     _walk_plan,
     c_value,
     distance,
@@ -109,12 +111,18 @@ def _echo_stream(pieces: Iterator[str]) -> None:
         click.echo("".join(chunk), nl=False)
 
 
+#: A literal such as ``-1,1,3`` is not an option, so an argument that names no
+#: option is read as the literal and gets its report; ``--bogus`` still exits
+#: 2, as a literal that does not parse.
+_LITERAL_SETTINGS = {"ignore_unknown_options": True}
+
+
 @click.group()
 def main():
     """Validate, realize, and trace tournament score sequences."""
 
 
-@main.command()
+@main.command(context_settings=_LITERAL_SETTINGS)
 @click.argument("sequence", required=False)
 @click.option("--file", "file_", type=click.Path(exists=True, dir_okay=False))
 @click.option("--strong", is_flag=True, help="Also require strict prefix sums.")
@@ -209,7 +217,7 @@ _RENDERERS = {
 TOURNAMENT_FORMATS = tuple(_RENDERERS)
 
 
-@main.command()
+@main.command(context_settings=_LITERAL_SETTINGS)
 @click.argument("sequence", required=False)
 @click.option("--file", "file_", type=click.Path(exists=True, dir_okay=False))
 @click.option("--format", "fmt", type=click.Choice(TOURNAMENT_FORMATS), default="text")
@@ -249,7 +257,7 @@ def _trace_json(
     yield "]}\n"
 
 
-@main.command()
+@main.command(context_settings=_LITERAL_SETTINGS)
 @click.argument("sequence", required=False)
 @click.option("--file", "file_", type=click.Path(exists=True, dir_okay=False))
 @click.option(
@@ -265,14 +273,15 @@ def trace(sequence, file_, algorithm, fmt):
     render = _trace_json if fmt == "json" else _trace_text
     for literal in _gather_literals(sequence, file_):
         s = _require_valid(_parse_literal(literal))
-        walk, start, end = _walk_plan(JumpAlgorithm(algorithm), s)
-        # each step is written as the walk makes it, from the list it moves
+        jump = JumpAlgorithm(algorithm)
+        walk, start, end = _walk_plan(jump, s)
+        # each step is written as the walk makes it, replayed on its own list
+        positions = chain.from_iterable(walk(list(start.scores), list(end.scores)))
         scores = list(start.scores)
-        pairs = walk(scores, list(end.scores))
-        _echo_stream(render(start, end, pairs, scores))
+        _echo_stream(render(start, end, _replayed(scores, jump, positions), scores))
 
 
-@main.command("enumerate")
+@main.command("enumerate", context_settings=_LITERAL_SETTINGS)
 @click.argument("n", type=int)
 @click.option("--stats", "show_stats", is_flag=True)
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
@@ -299,7 +308,7 @@ def enumerate_sequences(n, show_stats, fmt):
         sys.exit(1)
 
 
-@main.command()
+@main.command(context_settings=_LITERAL_SETTINGS)
 @click.argument("sequence", required=False)
 @click.option("--file", "file_", type=click.Path(exists=True, dir_okay=False))
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")

@@ -70,7 +70,9 @@ def enumerate_landau_sequences(n: int) -> List[LandauSequence]:
 
     extend([], 0)
     found.sort(key=lambda t: t[::-1])
-    return [LandauSequence(t) for t in found]
+    # the pruning admits only valid tuples, so none is checked again here;
+    # tests/test_oracle.py checks every one, at every order up to the cap
+    return list(map(LandauSequence._trusted, found))
 
 
 def enumerate_tournaments(n: int) -> Iterator[Tournament]:

@@ -22,7 +22,7 @@ from dataclasses import FrozenInstanceError, dataclass
 from itertools import accumulate, chain, compress, count, repeat
 from math import comb
 from operator import lt
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 #: Raw, unvalidated score input: any sequence of integers of length >= 1.
 ScoreVector = Sequence[int]
@@ -299,6 +299,19 @@ _MOVES = {
 }
 
 
+def _replayed(
+    scores: List[int], algorithm: JumpAlgorithm, positions: Iterable[int]
+) -> Iterator[Tuple[int, int]]:
+    """Apply each (low, high) pair of the flat ``positions`` to ``scores`` in
+    place by the algorithm's move, and yield the pair once it is applied."""
+    at_low, at_high = _MOVES[algorithm]
+    positions = iter(positions)
+    for low, high in zip(positions, positions):
+        scores[low - 1] += at_low
+        scores[high - 1] += at_high
+        yield low, high
+
+
 class JumpTrace:
     """A chain of jumps from ``start`` to ``end``, held as their positions.
 
@@ -357,11 +370,8 @@ class JumpTrace:
         yield self.start
         if self._pairs:
             scores = list(self.start.scores)
-            at_low, at_high = _MOVES[self._algorithm]
             new_sequence = LandauSequence._trusted
-            for low, high in self.pairs():
-                scores[low - 1] += at_low
-                scores[high - 1] += at_high
+            for _ in _replayed(scores, self._algorithm, self._pairs):
                 yield new_sequence(tuple(scores))
 
     @property
@@ -417,11 +427,15 @@ def _init_trace(self, *values) -> None:
 
 
 # The three walks.  Each moves one unit of score at a time in a sorted list,
-# in place, until the list equals ``target``, and yields the 1-based
-# (low, high) positions of each step.  The walk ends on reaching the target,
-# not after a precomputed count.  Run ends are found by bisect, and the other
-# scans resume where the previous step left them, so a whole walk's scans
-# cost O(steps + n).
+# in place, until the list equals ``target``, and yields flat chunks of the
+# 1-based positions low, high, low, high, ... of its steps.  After each yield
+# the list is the state after every position yielded so far, and the first
+# chunk is exactly one step, so ``next(walk(...))`` is the first step's
+# (low, high).  The two down walks yield one step per chunk; the up walk
+# yields a whole cascade of steps as one chunk.  A walk ends on reaching the
+# target, not after a precomputed count.  Run ends are found by bisect, and
+# the other scans resume where the previous step left them, so a whole walk's
+# scans cost O(steps + n).
 def _down_walk(a: List[int], target: List[int]) -> Iterator[Tuple[int, int]]:
     while a != target:
         p = bisect_right(a, a[0])
@@ -450,21 +464,52 @@ def _gr_down_walk(a: List[int], target: List[int]) -> Iterator[Tuple[int, int]]:
         yield beta, gamma + 1
 
 
-def _up_walk(a: List[int], target: List[int]) -> Iterator[Tuple[int, int]]:
-    # k is the first position of a repeated value.  A step lowers position k
-    # and raises one after it, so positions before k-1 stay strictly
-    # increasing and the next step's k is k-1 or later: each scan restarts
-    # there.
-    k = 1
+# The up walk does Python work only on its "big" steps.  Let k be the first
+# position of a repeated value v, so positions 1..k are strictly increasing up
+# to v, and let j be the smallest position such that positions j..k hold
+# consecutive values, v-(k-j) .. v.  The big step lowers position k to v-1 and
+# raises high, the last position of v, and is yielded alone.  If j < k,
+# position k-1 holds v-1, so k-1 is now the first position of a repeated
+# value, whose run is k-1..k (position k+1 holds at least v): the next step is
+# (k-1, k), which gives position k back its v and lowers position k-1 to v-2.
+# This repeats down to (j, j+1), and there it stops: position j-1 holds less
+# than a[j]-1, so the prefix is strictly increasing again.  That cascade of
+# k-j steps lowers position j by one and gives position k back its v;
+# positions j+1..k-1 end as they began.  Every state inside it repeats a
+# score, so none is the target Tr_n.  The walk applies the net change and
+# yields the cascade as one slice of ``cascades``, the pairs (i, i+1) for
+# i = n-1 down to 1.
+#
+# Positions 1..k now strictly increase to v again, so the search for the next
+# k resumes at k.  If k is still the first repeated position, its run of
+# consecutive values now starts at j+1, since position j is two below position
+# j+1.  Otherwise k moves right (as it always does after a big step without a
+# cascade, which leaves positions k and k+1 distinct), and j is found by a
+# scan down from the new k; at j = 1 the scan reads a[-1], the largest score,
+# which is never a[0]-1.
+def _up_walk(a: List[int], target: List[int]) -> Iterator[Sequence[int]]:
+    n = len(a)
+    cascades = array("I", chain.from_iterable((i, i + 1) for i in range(n - 1, 0, -1)))
+    k, j = 1, 0
     while a != target:
-        while a[k - 1] != a[k]:
+        if a[k - 1] == a[k]:
+            j += 1
+        else:
             k += 1
-        high = bisect_right(a, a[k - 1])
-        a[k - 1] -= 1
+            while a[k - 1] != a[k]:
+                k += 1
+            j = k
+            while a[j - 2] == a[j - 1] - 1:
+                j -= 1
+        v = a[k - 1]
+        high = bisect_right(a, v, k)
+        a[k - 1] = v - 1
         a[high - 1] += 1
         yield k, high
-        if k > 1:
-            k -= 1
+        if j < k:
+            a[j - 1] -= 1
+            a[k - 1] = v
+            yield cascades[2 * (n - k) : 2 * (n - j)]
 
 
 def _walk_plan(

@@ -11,7 +11,7 @@ import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import landau
@@ -478,6 +478,61 @@ class TestJunkInput:
     def test_enumerate_order(self, runner, order, extra):
         result = invoke(runner, "enumerate", *extra, "--", order)
         _assert_clean_failure(result)
+
+    @pytest.mark.parametrize("command", ["validate", "realize", "compare"])
+    @pytest.mark.parametrize("separated", [True, False], ids=["dashdash", "bare"])
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(literal=junk_literals)
+    def test_sequence_command_literal(self, runner, command, separated, literal):
+        # without "--" a literal that names an option is that option, and
+        # "--help" is the one that succeeds
+        assume(separated or literal != "--help")
+        result = invoke(runner, command, *(["--"] if separated else []), literal)
+        _assert_clean_failure(result)
+
+    @pytest.mark.parametrize("command", ["validate", "realize", "compare"])
+    @settings(
+        max_examples=30,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=junk_files)
+    def test_sequence_command_file(self, runner, command, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "seqs.txt"
+            path.write_bytes(data)
+            result = invoke(runner, command, "--file", str(path))
+        _assert_clean_failure(result)
+        if not _is_utf8(data):
+            assert result.exit_code == 2 and "not UTF-8" in result.output
+
+
+class TestLeadingMinus:
+    """A literal that starts with a minus sign is a literal, not an option."""
+
+    @pytest.mark.parametrize("command", ["validate", "realize", "trace", "compare"])
+    def test_negative_score_is_reported(self, runner, command):
+        result = invoke(runner, command, "-1,1,3")
+        assert result.exit_code == 1
+        assert "negative score -1 at k=1" in result.output
+        assert "No such option" not in result.output
+
+    def test_negative_order_is_reported(self, runner):
+        result = invoke(runner, "enumerate", "-3")
+        assert result.exit_code == 1
+        assert "n must be >= 1" in result.output
+
+    @pytest.mark.parametrize(
+        "command", ["validate", "realize", "trace", "compare", "enumerate"]
+    )
+    def test_unknown_option_still_exits_2(self, runner, command):
+        result = invoke(runner, command, "--bogus")
+        assert result.exit_code == 2
+        assert "--bogus" in result.output
 
 
 #: Runs the CLI in a fresh interpreter, then reports on stderr whether numpy

@@ -18,6 +18,7 @@ from landau.sequences import (
     Order,
     compare_order,
     down_trace,
+    first_violation,
     max_c_value,
     max_down_jumps,
 )
@@ -64,11 +65,17 @@ class TestEnumerateSequences:
     def test_matches_independent_filter(self, n):
         assert [s.scores for s in enumerate_landau_sequences(n)] == brute_sequences(n)
 
-    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("n", range(2, 13))
     def test_strictly_increasing_in_total_order(self, n):
         seqs = enumerate_landau_sequences(n)
         for a, b in zip(seqs, seqs[1:]):
             assert compare_order(a, b) is Order.LESS
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_every_enumerated_tuple_is_valid(self, n):
+        # the enumeration builds its sequences without re-checking them
+        for s in enumerate_landau_sequences(n):
+            assert first_violation(s.scores) is None, s
 
     def test_extremes_first_and_last(self):
         from landau.sequences import regular_sequence, transitive_sequence

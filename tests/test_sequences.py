@@ -21,6 +21,7 @@ from landau.sequences import (
     Order,
     ViolationKind,
     ViolationReport,
+    _up_walk,
     c_value,
     compare_order,
     distance,
@@ -642,6 +643,47 @@ class TestResumedScanInvariants:
     @given(valid_sequences())
     def test_drawn_sequences_up_to_40(self, s):
         _assert_resumed_scans_hold(s)
+
+
+def _assert_up_chunks_follow_reference(s: LandauSequence) -> None:
+    """The up walk's chunk contract, against the reference chain: the walk's
+    list after each yield is the reference state after as many steps as
+    positions yielded so far, the first chunk is one step, and each later
+    chunk is one step or a cascade (i, i+1), (i-1, i), ... with i falling."""
+    tr = transitive_sequence(s.n)
+    steps = _reference_chain(_reference_up_step, s, tr)
+    states = [s.scores] + [step.after.scores for step in steps]
+    expected = [p for step in steps for p in (step.low, step.high)]
+    a, done = list(s.scores), 0
+    for i, chunk in enumerate(_up_walk(a, list(tr.scores))):
+        chunk = list(chunk)
+        size = len(chunk) // 2
+        assert len(chunk) == 2 * size and size >= 1, (s, chunk)
+        assert size == 1 or i > 0, (s, chunk)
+        if size > 1:
+            lows = chunk[0::2]
+            assert lows == list(range(lows[0], lows[0] - size, -1)), (s, chunk)
+            assert chunk[1::2] == [low + 1 for low in lows], (s, chunk)
+        assert chunk == expected[2 * done : 2 * (done + size)], (s, i)
+        done += size
+        assert tuple(a) == states[done], (s, i)
+    assert done == len(steps)
+
+
+class TestUpWalkChunks:
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_every_sequence_up_to_9(self, n):
+        for s in enumerate_landau_sequences(n):
+            _assert_up_chunks_follow_reference(s)
+
+    @settings(max_examples=40, deadline=None)
+    @given(valid_sequences())
+    def test_drawn_sequences_up_to_40(self, s):
+        _assert_up_chunks_follow_reference(s)
+
+    @pytest.mark.parametrize("n", [100, 101])
+    def test_long_cascades_of_the_regular_sequence(self, n):
+        _assert_up_chunks_follow_reference(regular_sequence(n))
 
 
 #: multi-step traces of all three walks, and the empty traces at n = 1 and 2
