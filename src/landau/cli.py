@@ -2,14 +2,14 @@
 
 Subcommands: validate, realize, trace, enumerate, compare.  Sequences are
 given as a comma- or whitespace-separated literal argument (one that starts
-with a minus sign, such as ``-1,1,3``, is a literal too), or one per line
-via --file for batch runs.  Results go to stdout, diagnostics to stderr.
-Exit codes: 0 success, 1 domain failure (invalid sequence, or a cap
-exceeded: ``enumerate`` above its order limit, ``realize`` on more than
-``REALIZE_CAP`` scores), 2 usage or parse error (including a --file that is
-not UTF-8 text).  No subcommand imports numpy: tournaments are rendered from
-their bit rows, and ``realize`` and ``trace`` write their output as it is
-made, in chunks of about 64 KiB.
+with a minus sign, such as ``-1,1,3``, is a literal if it parses as one, and
+an unknown option otherwise), or one per line via --file for batch runs.
+Results go to stdout, diagnostics to stderr.  Exit codes: 0 success, 1
+domain failure (invalid sequence, or a cap exceeded: ``enumerate`` above its
+order limit, ``realize`` on more than ``REALIZE_CAP`` scores), 2 usage or
+parse error (including a --file that is not UTF-8 text).  No subcommand
+imports numpy: tournaments are rendered from their bit rows, and ``realize``
+and ``trace`` write their output as it is made, in chunks of about 64 KiB.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import json
 import sys
 from dataclasses import asdict
 from itertools import chain, compress
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import click
 
@@ -45,16 +45,21 @@ from .tournaments import Tournament, realize as realize_tournament
 REALIZE_CAP = 10_000
 
 
-def _parse_literal(text: str) -> Tuple[int, ...]:
-    parts = text.replace(",", " ").split()
-    if not parts:
-        click.echo(f"error: empty sequence literal {text!r}", err=True)
-        sys.exit(2)
+def _literal(text: str) -> Optional[Tuple[int, ...]]:
+    """The integers of a sequence literal, or None if a part is not one."""
     try:
-        return tuple(int(p) for p in parts)
+        return tuple(int(p) for p in text.replace(",", " ").split())
     except ValueError:
-        click.echo(f"error: cannot parse sequence literal {text!r}", err=True)
+        return None
+
+
+def _parse_literal(text: str) -> Tuple[int, ...]:
+    scores = _literal(text)
+    if not scores:
+        what = "empty" if scores == () else "cannot parse"
+        click.echo(f"error: {what} sequence literal {text!r}", err=True)
         sys.exit(2)
+    return scores
 
 
 def _gather_literals(sequence, file_) -> List[str]:
@@ -111,10 +116,28 @@ def _echo_stream(pieces: Iterator[str]) -> None:
         click.echo("".join(chunk), nl=False)
 
 
-#: A literal such as ``-1,1,3`` is not an option, so an argument that names no
-#: option is read as the literal and gets its report; ``--bogus`` still exits
-#: 2, as a literal that does not parse.
-_LITERAL_SETTINGS = {"ignore_unknown_options": True}
+class _LiteralCommand(click.Command):
+    """A subcommand whose literal may start with a minus sign, as ``-1,1,3``:
+    an argument that names no option is the literal if it parses as one, and
+    "No such option" otherwise.  Option values and all after ``--`` are not
+    options (``--file -x`` names the path ``-x``)."""
+
+    def parse_args(self, ctx, args):
+        options = [p for p in self.get_params(ctx) if isinstance(p, click.Option)]
+        names = {name for p in options for name in p.opts + p.secondary_opts}
+        takes_value = {name for p in options if not p.is_flag for name in p.opts}
+        rest = iter(args)
+        for arg in rest:
+            if arg == "--":
+                break
+            name = arg.split("=", 1)[0]
+            if arg in takes_value:
+                next(rest, None)
+            elif arg.startswith("-") and arg != "-" and name not in names:
+                if not _literal(arg):
+                    raise click.NoSuchOption(name, ctx=ctx)
+        ctx.ignore_unknown_options = True  # the parser passes the literal on
+        return super().parse_args(ctx, args)
 
 
 @click.group()
@@ -122,7 +145,7 @@ def main():
     """Validate, realize, and trace tournament score sequences."""
 
 
-@main.command(context_settings=_LITERAL_SETTINGS)
+@main.command(cls=_LiteralCommand)
 @click.argument("sequence", required=False)
 @click.option("--file", "file_", type=click.Path(exists=True, dir_okay=False))
 @click.option("--strong", is_flag=True, help="Also require strict prefix sums.")
@@ -217,7 +240,7 @@ _RENDERERS = {
 TOURNAMENT_FORMATS = tuple(_RENDERERS)
 
 
-@main.command(context_settings=_LITERAL_SETTINGS)
+@main.command(cls=_LiteralCommand)
 @click.argument("sequence", required=False)
 @click.option("--file", "file_", type=click.Path(exists=True, dir_okay=False))
 @click.option("--format", "fmt", type=click.Choice(TOURNAMENT_FORMATS), default="text")
@@ -257,7 +280,7 @@ def _trace_json(
     yield "]}\n"
 
 
-@main.command(context_settings=_LITERAL_SETTINGS)
+@main.command(cls=_LiteralCommand)
 @click.argument("sequence", required=False)
 @click.option("--file", "file_", type=click.Path(exists=True, dir_okay=False))
 @click.option(
@@ -281,7 +304,7 @@ def trace(sequence, file_, algorithm, fmt):
         _echo_stream(render(start, end, _replayed(scores, jump, positions), scores))
 
 
-@main.command("enumerate", context_settings=_LITERAL_SETTINGS)
+@main.command("enumerate", cls=_LiteralCommand)
 @click.argument("n", type=int)
 @click.option("--stats", "show_stats", is_flag=True)
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
@@ -308,7 +331,7 @@ def enumerate_sequences(n, show_stats, fmt):
         sys.exit(1)
 
 
-@main.command(context_settings=_LITERAL_SETTINGS)
+@main.command(cls=_LiteralCommand)
 @click.argument("sequence", required=False)
 @click.option("--file", "file_", type=click.Path(exists=True, dir_okay=False))
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")

@@ -18,7 +18,7 @@ import enum
 import operator
 from array import array
 from bisect import bisect_left, bisect_right
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from itertools import accumulate, chain, compress, count, repeat
 from math import comb
 from operator import lt
@@ -274,22 +274,6 @@ class JumpStep:
     high: int
     algorithm: JumpAlgorithm
 
-    @classmethod
-    def _trusted(cls, before, after, low, high, algorithm) -> "JumpStep":
-        # A walk's own step: set the slots directly, skipping the frozen
-        # __init__ and its five object.__setattr__ calls.
-        self = object.__new__(cls)
-        set_before, set_after, set_low, set_high, set_algorithm = _STEP_SLOTS
-        set_before(self, before)
-        set_after(self, after)
-        set_low(self, low)
-        set_high(self, high)
-        set_algorithm(self, algorithm)
-        return self
-
-
-_STEP_SLOTS = tuple(getattr(JumpStep, name).__set__ for name in JumpStep.__slots__)
-
 
 #: The unit of score each algorithm moves: added at ``low`` and at ``high``.
 _MOVES = {
@@ -312,6 +296,7 @@ def _replayed(
         yield low, high
 
 
+@dataclass(frozen=True, init=False, repr=False, eq=False)
 class JumpTrace:
     """A chain of jumps from ``start`` to ``end``, held as their positions.
 
@@ -319,19 +304,28 @@ class JumpTrace:
     ``(low, high)`` pair, 8 bytes a step; every step is rebuilt from these
     by replaying the pairs on a copy of ``start``.  ``steps`` rebuilds the
     whole tuple of :class:`JumpStep` on each read and does not keep it, so
-    read it once.  Equality, hashing and ``repr`` are those of the tuple
-    (start, end, steps).
+    read it once.  Equality and ``repr`` are those of the tuple (start, end,
+    steps).  Equal traces hash equal, and hashing reads no steps.
     """
 
-    __slots__ = ("start", "end", "_algorithm", "_pairs")
+    start: LandauSequence
+    end: LandauSequence
+    _algorithm: Optional[JumpAlgorithm]
+    _pairs: array
 
     def __init__(
         self, start: LandauSequence, end: LandauSequence, steps: Sequence[JumpStep]
     ):
         """Hold ``steps``, which must chain from ``start`` to ``end`` under one
-        algorithm; raises ``ValueError`` otherwise."""
+        algorithm; raises ``ValueError`` otherwise, ``TypeError`` on wrong types."""
+        if not (isinstance(start, LandauSequence) and isinstance(end, LandauSequence)):
+            raise TypeError("start and end must be LandauSequences")
         steps = tuple(steps)
+        if not all(isinstance(step, JumpStep) for step in steps):
+            raise TypeError("steps must be JumpSteps")
         algorithms = {step.algorithm for step in steps}
+        if not algorithms <= set(JumpAlgorithm):
+            raise TypeError("step algorithms must be JumpAlgorithms")
         if len(algorithms) > 1:
             raise ValueError("steps mix jump algorithms")
         try:
@@ -340,7 +334,8 @@ class JumpTrace:
             raise ValueError(f"step positions must be positive ints: {exc}") from None
         if pairs and (min(pairs) < 1 or max(pairs) > len(start)):
             raise ValueError(f"step positions must lie in 1..{len(start)}")
-        _init_trace(self, start, end, algorithms.pop() if steps else None, pairs)
+        algorithm = algorithms.pop() if steps else None
+        self.__dict__.update(start=start, end=end, _algorithm=algorithm, _pairs=pairs)
         if self.steps != steps or (steps[-1].after if steps else start) != end:
             raise ValueError("steps do not chain from start to end")
 
@@ -354,7 +349,7 @@ class JumpTrace:
     ) -> "JumpTrace":
         # A walk's own trace: the pairs take start to end under the algorithm.
         self = object.__new__(cls)
-        _init_trace(self, start, end, algorithm, pairs)
+        self.__dict__.update(start=start, end=end, _algorithm=algorithm, _pairs=pairs)
         return self
 
     def __len__(self) -> int:
@@ -380,7 +375,7 @@ class JumpTrace:
         seqs, pairs = list(self.sequences()), self._pairs
         return tuple(
             map(
-                JumpStep._trusted,
+                JumpStep,
                 seqs,
                 seqs[1:],
                 pairs[0::2],
@@ -401,29 +396,14 @@ class JumpTrace:
         )
 
     def __hash__(self) -> int:
-        return hash((self.start, self.end, self.steps))
+        # the fields __eq__ compares, so equal traces hash equal; no step is built
+        algorithm = self._algorithm if self._pairs else None
+        return hash((self.start, self.end, algorithm, self._pairs.tobytes()))
 
     def __repr__(self) -> str:
         return (
             f"JumpTrace(start={self.start!r}, end={self.end!r}, steps={self.steps!r})"
         )
-
-    def __reduce__(self):
-        return JumpTrace._trusted, (self.start, self.end, self._algorithm, self._pairs)
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-
-_TRACE_SLOTS = tuple(getattr(JumpTrace, name).__set__ for name in JumpTrace.__slots__)
-
-
-def _init_trace(self, *values) -> None:
-    for set_slot, value in zip(_TRACE_SLOTS, values):
-        set_slot(self, value)
 
 
 # The three walks.  Each moves one unit of score at a time in a sorted list,
@@ -533,7 +513,7 @@ def _step(
     scores = list(s.scores)
     low, high = next(walk(scores, list(target.scores)))
     after = LandauSequence._trusted(tuple(scores))
-    return JumpStep._trusted(s, after, low, high, algorithm)
+    return JumpStep(s, after, low, high, algorithm)
 
 
 def _trace(algorithm: JumpAlgorithm, s: LandauSequence) -> JumpTrace:

@@ -148,12 +148,12 @@ class Tournament:
 
 @dataclass(frozen=True)
 class VertexPath:
-    """A simple directed path, listed vertex by vertex."""
+    """A simple directed path, listed vertex by vertex; ids must be integers."""
 
     vertices: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "vertices", tuple(int(v) for v in self.vertices))
+        object.__setattr__(self, "vertices", tuple(map(operator.index, self.vertices)))
         if len(self.vertices) < 2:
             raise ValueError("path needs at least two vertices")
         if len(set(self.vertices)) != len(self.vertices):
@@ -236,10 +236,6 @@ def _nearly_regular_rows(n: int) -> List[int]:
     return rows
 
 
-def _base_rows(n: int) -> List[int]:
-    return _rotational_rows(n) if n % 2 == 1 else _nearly_regular_rows(n)
-
-
 def _rows(adj: np.ndarray) -> List[int]:
     """Out-sets as ints: bit j of ``rows[i]`` is set iff i beats j."""
     import numpy as np
@@ -320,12 +316,12 @@ def _shortest_path(rows: Sequence[int], src: int, dst: int) -> Optional[List[int
     level, the unvisited in-neighbours of dst are scanned in ascending id:
     the first one the level beats is the next level's smallest-id vertex
     that beats dst, so the search stops there without building that level.
-    Otherwise the next level is built top-down (the union of the level's
-    out-sets) or bottom-up (every unvisited vertex the level beats),
-    whichever loops over fewer vertices.  The path is rebuilt backwards
-    from the lowest set bit of ``level & ~rows[cur]``.  Each step is one
-    operation on n-bit ints, so a search costs O(n^2 / 64) word operations
-    at most and O(n / 64) when a shortcut applies.
+    Otherwise the next level is built top-down: the union of the level's
+    out-sets, less the vertices seen.  The path is rebuilt backwards from
+    the lowest set bit of ``level & ~rows[cur]``.  Each step is one
+    operation on n-bit ints, and the levels are disjoint, so a search makes
+    at most n ORs: O(n^2 / 64) word operations, and O(n / 64) when a
+    shortcut applies.
     """
     out = rows[src]
     if out >> dst & 1:
@@ -345,16 +341,10 @@ def _shortest_path(rows: Sequence[int], src: int, dst: int) -> Optional[List[int
                     path.append(_lowest(prev & ~rows[path[-1]]))
                 path.reverse()
                 return path
-        unseen = full & ~seen
         new = 0
-        if level.bit_count() <= unseen.bit_count():
-            for u in _ids(level):
-                new |= rows[u]
-            new &= unseen
-        else:
-            for v in _ids(unseen):
-                if level & ~rows[v]:
-                    new |= 1 << v
+        for u in _ids(level):
+            new |= rows[u]
+        new &= ~seen
         levels.append(new)
         seen |= new
     return None
@@ -365,8 +355,8 @@ def find_path(t: Tournament, src: int, dst: int) -> VertexPath:
 
     Among the shortest paths, each vertex is the smallest-id vertex at its
     BFS distance from src that beats the next vertex on the path.  The
-    search runs on the tournament's rows and costs O(n^2 / 64) word
-    operations at most (see ``_shortest_path``).
+    search is a top-down BFS on the tournament's rows and costs O(n^2 / 64)
+    word operations at most (see ``_shortest_path``).
     """
     if not (0 <= src < t.n and 0 <= dst < t.n):
         raise ValueError("vertex out of range")
@@ -381,6 +371,8 @@ def find_path(t: Tournament, src: int, dst: int) -> VertexPath:
 
 def reverse_path(t: Tournament, path: VertexPath) -> Tournament:
     """Reverse every arc along the path; first vertex loses 1, last gains 1."""
+    if not isinstance(path, VertexPath):
+        raise TypeError("path must be a VertexPath")
     if not all(0 <= v < t.n for v in path.vertices):
         raise ValueError("vertex out of range")
     rows = list(t._rows)
@@ -402,7 +394,7 @@ def _replay(s: LandauSequence) -> Iterator[List[int]]:
     flat array of positions, 8 bytes a jump, and read from its end.
     """
     positions = reversed(down_trace(s)._pairs)
-    rows = _base_rows(s.n)
+    rows = _rotational_rows(s.n) if s.n % 2 == 1 else _nearly_regular_rows(s.n)
     yield rows
     for q, p in zip(positions, positions):
         path = _shortest_path(rows, p - 1, q - 1)

@@ -534,6 +534,34 @@ class TestLeadingMinus:
         assert result.exit_code == 2
         assert "--bogus" in result.output
 
+    @pytest.mark.parametrize(
+        "args, name",
+        [
+            (("trace", "--formt", "json", "1,1,1"), "--formt"),
+            (("trace", "--formt=json", "1,1,1"), "--formt"),
+            (("validate", "--strng", "1,1,1"), "--strng"),
+            (("realize", "1,1,1", "--fromat", "json"), "--fromat"),
+            (("compare", "-1,x"), "-1,x"),
+            (("enumerate", "--stat", "5"), "--stat"),
+        ],
+    )
+    def test_misspelled_option_is_named(self, runner, args, name):
+        result = invoke(runner, *args)
+        assert result.exit_code == 2
+        assert f"No such option '{name}'" in result.output
+
+    def test_option_values_and_dashdash_are_not_options(self, runner):
+        result = invoke(runner, "trace", "--format", "json", "-1,1,3")
+        assert result.exit_code == 1
+        assert "negative score -1 at k=1" in result.output
+        # the value of --file is a path, even one that looks like an option
+        result = invoke(runner, "validate", "--file", "-x")
+        assert result.exit_code == 2
+        assert "'-x' does not exist" in result.output
+        result = invoke(runner, "validate", "--", "--strng")
+        assert result.exit_code == 2
+        assert "cannot parse sequence literal '--strng'" in result.output
+
 
 #: Runs the CLI in a fresh interpreter, then reports on stderr whether numpy
 #: was ever imported, also when the command ends by exiting.

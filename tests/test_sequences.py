@@ -698,8 +698,8 @@ PINNED = [
 
 
 class TestTracePins:
-    """``==``, ``hash``, ``repr`` and pickling of traces, as a frozen dataclass of
-    (start, end, steps) gives them."""
+    """``==``, ``repr`` and pickling of traces, as a frozen dataclass of
+    (start, end, steps) gives them; equal traces hash equal."""
 
     def test_repr_literals(self):
         assert repr(down_trace(seq(0))) == (
@@ -721,7 +721,7 @@ class TestTracePins:
     def test_eq_hash_repr_pickle_match_the_fields(self, scores):
         for trace, start, end, steps in _reference_walks(seq(*scores)):
             assert trace == JumpTrace(start, end, steps)
-            assert hash(trace) == hash((start, end, steps))
+            assert hash(trace) == hash(JumpTrace(start, end, steps))
             assert repr(trace) == (
                 f"JumpTrace(start={start!r}, end={end!r}, steps={steps!r})"
             )
@@ -817,6 +817,13 @@ class TestTraceMemory:
         trace, peak = _peak_bytes(down_trace, s)
         assert len(trace) == max_down_jumps(400) == 19_900
         assert peak < 5e6
+
+    def test_hashing_reads_no_steps(self):
+        # a hash that rebuilt the 19,900 steps would peak near 68 MB
+        trace = down_trace(transitive_sequence(400))
+        value, peak = _peak_bytes(hash, trace)
+        assert value == hash(down_trace(transitive_sequence(400)))
+        assert peak < 1e6
 
     def test_up_trace_of_regular_101(self):
         s = regular_sequence(101)
