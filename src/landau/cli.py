@@ -5,8 +5,9 @@ given as a comma- or whitespace-separated literal argument (one that starts
 with a minus sign, such as ``-1,1,3``, is a literal if it parses as one, and
 an unknown option otherwise), or one per line via --file for batch runs.
 Results go to stdout, diagnostics to stderr.  Exit codes: 0 success, 1
-domain failure (invalid sequence, or a cap exceeded: ``enumerate`` above its
-order limit, ``realize`` on more than ``REALIZE_CAP`` scores), 2 usage or
+domain failure (invalid sequence, a cap exceeded: ``enumerate`` above its
+order limit, ``realize`` on more than ``REALIZE_CAP`` scores, or a realized
+tournament that fails its O(n) score check before output), 2 usage or
 parse error (including a --file that is not UTF-8 text).  No subcommand
 imports numpy: tournaments are rendered from their bit rows, and ``realize``
 and ``trace`` write their output as it is made, in chunks of about 64 KiB.
@@ -255,7 +256,12 @@ def realize(sequence, file_, fmt):
                 err=True,
             )
             sys.exit(1)
-        t = realize_tournament(_require_valid(raw))
+        s = _require_valid(raw)
+        t = realize_tournament(s)
+        # O(n) check before any output: vertex i must carry score s_i
+        if t._popcounts() != list(s.scores):
+            click.echo("error: realized tournament does not have the given scores", err=True)
+            sys.exit(1)
         _echo_stream(_RENDERERS[fmt](t))
 
 

@@ -14,6 +14,7 @@ matrix, ``adjacency``, ``scores()`` and :func:`count_3cycles`.
 from __future__ import annotations
 
 import operator
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -176,30 +177,53 @@ class StrongDecomposition:
     components: tuple
 
 
+#: Vertex ids below this get bit rows in :func:`from_arcs`: its lists of rows
+#: take at most 256 KiB, a row at most 2 KiB.  A tournament on more vertices
+#: needs over 134M arcs.
+_ARC_ROW_WIDTH = 1 << 14
+
+
 def from_arcs(n: int, beats: Iterable[Tuple[int, int]]) -> Tournament:
     """Build a tournament from explicit (winner, loser) pairs.
 
     Every unordered pair must appear exactly once, in exactly one direction.
+    Memory follows the arcs given, not n: the ids below ``_ARC_ROW_WIDTH``
+    get bit rows, and a pair with a higher id is held in a dict.  The
+    vertices are then checked in order for a missing pair, and each one
+    passed holds n - 1 arcs.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    rows, ins = [0] * n, [0] * n
+    n = operator.index(n)
+    width = min(n, _ARC_ROW_WIDTH)
+    rows, ins = [0] * width, [0] * width
+    far = defaultdict(dict)  # far[i][j] is True iff i beats j
     for i, j in beats:
         if not (0 <= i < n and 0 <= j < n):
             raise ValueError(f"vertex out of range in arc ({i}, {j})")
         i, j = operator.index(i), operator.index(j)
         if i == j:
             raise SelfLoopError(f"self-loop at vertex {i}")
-        if (rows[i] | ins[i]) >> j & 1:
-            raise DoublePairError(f"pair {{{i}, {j}}} oriented twice")
-        rows[i] |= 1 << j
-        ins[j] |= 1 << i
-    full = (1 << n) - 1
+        if i < width > j:
+            if (rows[i] | ins[i]) >> j & 1:
+                raise DoublePairError(f"pair {{{i}, {j}}} oriented twice")
+            rows[i] |= 1 << j
+            ins[j] |= 1 << i
+        else:
+            if j in far[i]:
+                raise DoublePairError(f"pair {{{i}, {j}}} oriented twice")
+            far[i][j], far[j][i] = True, False
     for i in range(n):
-        neither = full ^ (rows[i] | ins[i] | 1 << i)
-        if neither:
-            j = _lowest(neither)
+        # the lowest id paired with neither i nor itself: the rows hold the
+        # pairs of two ids below the width, ``far`` all the others
+        j = _lowest(~(rows[i] | ins[i] | 1 << i)) if i < width else 0
+        while j < n and (j == i or j in far[i]):
+            j += 1
+        if j < n:
             raise MissingPairError(f"pair {{{i}, {j}}} has no orientation")
+    rows += [0] * (n - width)
+    for i, wins in far.items():
+        rows[i] |= sum(1 << j for j, won in wins.items() if won)
     return Tournament._trusted(rows)
 
 
@@ -312,16 +336,20 @@ def _shortest_path(rows: Sequence[int], src: int, dst: int) -> Optional[List[int
     the in-set of v is the complement of ``rows[v]`` without v itself.
     Tie-break: every vertex on the path is the smallest-id vertex of the
     previous BFS level that beats the next one.  The direct arc and the
-    smallest-id middle vertex of a 2-path are tried first.  Then, at each
-    level, the unvisited in-neighbours of dst are scanned in ascending id:
-    the first one the level beats is the next level's smallest-id vertex
-    that beats dst, so the search stops there without building that level.
-    Otherwise the next level is built top-down: the union of the level's
-    out-sets, less the vertices seen.  The path is rebuilt backwards from
-    the lowest set bit of ``level & ~rows[cur]``.  Each step is one
-    operation on n-bit ints, and the levels are disjoint, so a search makes
-    at most n ORs: O(n^2 / 64) word operations, and O(n / 64) when a
-    shortcut applies.
+    smallest-id middle vertex of a 2-path are tried first.  Past them no
+    BFS level holds an in-neighbour of dst (the search ends at the first
+    level that would), so at each level the path's last inner vertex is
+    the smallest in-neighbour of dst that the level beats, if there is one.
+    One probe decides the common case: if the level beats ``probe``, the
+    smallest in-neighbour of all, that is the vertex, and the next level is
+    never built.  Otherwise the next level is built top-down, as the union
+    of the level's out-sets less the vertices seen.  That is exactly the
+    set of unvisited vertices the level beats, so its lowest in-neighbour
+    of dst is the vertex sought; if it holds none, the search goes on from
+    it.  The path is rebuilt backwards from the lowest set bit of
+    ``level & ~rows[cur]``.  Each step is one operation on n-bit ints, and
+    the levels are disjoint, so a search makes at most n ORs: O(n^2 / 64)
+    word operations, and O(n / 64) when a shortcut applies.
     """
     out = rows[src]
     if out >> dst & 1:
@@ -330,24 +358,37 @@ def _shortest_path(rows: Sequence[int], src: int, dst: int) -> Optional[List[int
     into = full ^ rows[dst] ^ (1 << dst)
     if out & into:
         return [src, _lowest(out & into), dst]
+    if not into:
+        return None
+    probe = _lowest(into)
+    beats_probe = ~rows[probe]
     levels = [1 << src, out]
     seen = levels[0] | out
-    while levels[-1]:
-        level = levels[-1]
-        for v in _ids(into & ~seen):
-            if level & ~rows[v]:
-                path = [dst, v]
-                for prev in reversed(levels):
-                    path.append(_lowest(prev & ~rows[path[-1]]))
-                path.reverse()
-                return path
+    level = out
+    while level:
+        if level & beats_probe:
+            last = probe
+            break
         new = 0
-        for u in _ids(level):
-            new |= rows[u]
+        bits = level
+        while bits:
+            low = bits & -bits
+            new |= rows[low.bit_length() - 1]
+            bits ^= low
         new &= ~seen
+        if new & into:
+            last = _lowest(new & into)
+            break
         levels.append(new)
         seen |= new
-    return None
+        level = new
+    else:
+        return None
+    path = [dst, last]
+    for prev in reversed(levels):
+        path.append(_lowest(prev & ~rows[path[-1]]))
+    path.reverse()
+    return path
 
 
 def find_path(t: Tournament, src: int, dst: int) -> VertexPath:
@@ -355,8 +396,13 @@ def find_path(t: Tournament, src: int, dst: int) -> VertexPath:
 
     Among the shortest paths, each vertex is the smallest-id vertex at its
     BFS distance from src that beats the next vertex on the path.  The
-    search is a top-down BFS on the tournament's rows and costs O(n^2 / 64)
-    word operations at most (see ``_shortest_path``).
+    search is a top-down BFS on the tournament's rows.  Before it builds a
+    level, it probes whether the level before beats dst's smallest
+    in-neighbour, and stops there if so; a level it does build ends the
+    search if it holds an in-neighbour of dst, taking the smallest.  Both
+    exits pick the smallest in-neighbour of dst that the last level beats,
+    the vertex the tie-break names.  A search costs O(n^2 / 64) word
+    operations at most (see ``_shortest_path``).
     """
     if not (0 <= src < t.n and 0 <= dst < t.n):
         raise ValueError("vertex out of range")

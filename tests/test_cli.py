@@ -172,6 +172,16 @@ class TestRealize:
         validate.assert_not_called()
         build.assert_not_called()
 
+    @pytest.mark.parametrize("fmt", TOURNAMENT_FORMATS)
+    def test_wrong_realization_exits_1_before_output(self, runner, fmt):
+        # the transitive tournament has scores 0, 1, 2, not 1, 1, 1
+        wrong = from_arcs(3, {(1, 0), (2, 0), (2, 1)})
+        with mock.patch("landau.cli.realize_tournament", return_value=wrong):
+            result = invoke(runner, "realize", "1,1,1", "--format", fmt)
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: realized tournament")
+
     def test_dot_format(self, runner):
         result = invoke(runner, "realize", "0,1,2", "--format", "dot")
         assert result.output == "digraph {\n  1 -> 0;\n  2 -> 0;\n  2 -> 1;\n}\n"

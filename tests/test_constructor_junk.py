@@ -11,8 +11,12 @@ reads them, so a bool there is the 0 or 1 it equals.
 """
 
 import dataclasses
+import re
+import tracemalloc
+from collections import defaultdict
 from itertools import combinations
 from math import comb
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -29,8 +33,12 @@ from landau.sequences import (
     up_trace,
     validate_landau,
 )
+from landau import tournaments
 from landau.tournaments import (
+    DoublePairError,
     InvalidPathError,
+    MissingPairError,
+    SelfLoopError,
     Tournament,
     TournamentError,
     VertexPath,
@@ -182,6 +190,22 @@ def _orients_every_pair(n, arcs) -> bool:
     return len(set(pairs)) == len(pairs) == comb(n, 2)
 
 
+def _first_fault(n, arcs):
+    """The error class and message for in-range arcs that miss some pair."""
+    partners = defaultdict(set)
+    for i, j in arcs:
+        if i == j:
+            return SelfLoopError, f"self-loop at vertex {i}"
+        if j in partners[i]:
+            return DoublePairError, f"pair {{{i}, {j}}} oriented twice"
+        partners[i].add(j)
+        partners[j].add(i)
+    for i in range(n):
+        j = min(set(range(len(partners[i]) + 2)) - partners[i] - {i})
+        if j < n:
+            return MissingPairError, f"pair {{{i}, {j}}} has no orientation"
+
+
 class TestFromArcs:
     @junk_settings
     @given(case=arc_lists())
@@ -195,11 +219,37 @@ class TestFromArcs:
             assert t.n == n and sorted(t.arcs()) == sorted(arcs)
 
     @junk_settings
+    @given(case=arc_lists(), width=st.integers(0, 5))
+    def test_pairs_past_the_row_width_get_the_same_outcome(self, case, width):
+        # pairs with an id at or past the width are held in a dict, not rows
+        n, arcs = case
+        expected, expected_error = _outcome(from_arcs, n, arcs)
+        with mock.patch.object(tournaments, "_ARC_ROW_WIDTH", width):
+            t, error = _outcome(from_arcs, n, arcs)
+        assert t == expected
+        assert repr(error) == repr(expected_error)
+
+    @junk_settings
+    @given(n=st.integers(5, 2**70), data=st.data())
+    def test_few_arcs_on_huge_n(self, n, data):
+        ids = st.integers(0, 4) | st.integers(0, n - 1)
+        arcs = data.draw(st.lists(st.tuples(ids, ids), max_size=6))
+        cls, message = _first_fault(n, arcs)
+        tracemalloc.start()
+        try:
+            with pytest.raises(cls, match=re.escape(message)):
+                from_arcs(n, arcs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @junk_settings
     @given(
-        n=st.one_of(st.integers(1, 4), huge, non_indices),
+        n=st.one_of(st.integers(1, 4), st.integers(5, 2**70), huge, non_indices),
         arc=st.tuples(
-            st.one_of(st.integers(0, 3), huge, non_indices),
-            st.one_of(st.integers(0, 3), huge, non_indices),
+            st.one_of(st.integers(0, 3), st.integers(0, 2**70), huge, non_indices),
+            st.one_of(st.integers(0, 3), st.integers(0, 2**70), huge, non_indices),
         ),
     )
     def test_junk_order_and_vertex_ids(self, n, arc):

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import combinations
 from types import SimpleNamespace
 from typing import List, Optional
@@ -71,6 +72,31 @@ class TestFromArcs:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             from_arcs(2, {(0, 2)})
+
+    @pytest.mark.parametrize(
+        "n, arcs, pair",
+        [
+            (10**6, [], "{0, 1}"),
+            (2**40, [(0, 1)], "{0, 2}"),
+            (2**40, [(0, 2**40 - 1)], "{0, 1}"),
+            (2**40, [(2**39, 2**40 - 1), (1, 0)], "{0, 2}"),
+        ],
+    )
+    def test_memory_follows_the_arcs_not_n(self, n, arcs, pair):
+        tracemalloc.start()
+        try:
+            with pytest.raises(MissingPairError, match=f"pair {pair} has no"):
+                from_arcs(n, arcs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_pairs_past_the_row_width_keep_their_errors(self):
+        with pytest.raises(DoublePairError, match=r"pair \{549755813888, 5\}"):
+            from_arcs(2**40, [(5, 2**39), (2**39, 5)])
+        with pytest.raises(SelfLoopError):
+            from_arcs(2**40, [(5, 2**39), (2**39, 2**39)])
 
 
 class TestTournamentInvariants:
@@ -465,6 +491,28 @@ class TestShortestPathAgainstReference:
         expected, expected_stages = _realize_with_reference(s)
         assert realize(s) == expected
         assert realize_stages(s) == expected_stages
+
+    @pytest.mark.parametrize("n", [40, 60, 80])
+    def test_realize_near_transitive_matches_reference_replay(self, n):
+        # (1, 1, 2, ..., n-3, n-2, n-2): strong, with paths as long as Tr_n's
+        s = LandauSequence((1, 1, *range(2, n - 2), n - 2, n - 2))
+        expected, expected_stages = _realize_with_reference(s)
+        assert realize(s) == expected
+        assert realize_stages(s) == expected_stages
+
+    def test_level_beats_a_higher_in_neighbour_than_the_probe(self):
+        # 5 -> 0 has no path of 1 or 2 arcs.  0's in-neighbours are 1, 2, 3;
+        # level {4} does not beat the smallest, 1, but beats 2 and 3, so the
+        # path ends 4 -> 2 -> 0: the lowest in-neighbour in the next level
+        arcs = {(1, 0), (2, 0), (3, 0), (0, 4), (0, 5), (5, 4), (1, 5), (2, 5),
+                (3, 5), (4, 2), (4, 3), (1, 4), (1, 2), (1, 3), (2, 3)}
+        t = from_arcs(6, arcs)
+        expected = _reference_shortest_path(t.adjacency, 5, 0)
+        assert expected == [5, 4, 2, 0]
+        assert tournaments._shortest_path(t._rows, 5, 0) == expected
+        assert find_path(t, 5, 0).vertices == tuple(expected)
+        bad, _ = _mismatches(t.adjacency)
+        assert not bad, bad
 
     @settings(max_examples=60, deadline=None)
     @given(valid_sequences())
