@@ -35,7 +35,6 @@ from .sequences import (
     regular_sequence,
     transitive_sequence,
     validate_landau,
-    validate_strong_landau,
 )
 from .tournaments import Tournament, realize as realize_tournament
 
@@ -157,13 +156,12 @@ def validate(sequence, file_, strong, fmt):
     for literal in _gather_literals(sequence, file_):
         raw = _parse_literal(literal)
         result = validate_landau(raw)
-        valid = isinstance(result, LandauSequence)
         message = None
-        if not valid:
+        if not isinstance(result, LandauSequence):
             message = result.message
-        elif strong and not validate_strong_landau(result):
-            valid = False
-            message = f"equality at k={first_equality_index(result)}"
+        elif strong and (k := first_equality_index(result)) is not None:
+            message = f"equality at k={k}"
+        valid = message is None
         failed = failed or not valid
         if fmt == "json":
             click.echo(
@@ -349,29 +347,16 @@ def compare(sequence, file_, fmt):
         d_transitive = distance(s, transitive_sequence(s.n))
         c = c_value(s)
         # walk lengths by the identities the tests certify: d(R,S)/2, d(Tr,S)/2, c(S)
-        down, gr_down, gr_up = d_regular // 2, d_transitive // 2, c
+        down, gr_down = d_regular // 2, d_transitive // 2
         if fmt == "json":
-            click.echo(
-                json.dumps(
-                    {
-                        "sequence": list(s.scores),
-                        "down": down,
-                        "gr_down": gr_down,
-                        "gr_up": gr_up,
-                        "d_regular": d_regular,
-                        "d_transitive": d_transitive,
-                        "c": c,
-                    }
-                )
-            )
+            fields = dict(sequence=list(s.scores), down=down, gr_down=gr_down, gr_up=c)
+            fields.update(d_regular=d_regular, d_transitive=d_transitive, c=c)
+            click.echo(json.dumps(fields))
         else:
-            click.echo(f"sequence: {s}")
-            click.echo(f"down {down}")
-            click.echo(f"gr-down {gr_down}")
-            click.echo(f"gr-up {gr_up}")
-            click.echo(f"d(R,S)={d_regular}")
-            click.echo(f"d(Tr,S)={d_transitive}")
-            click.echo(f"c(S)={c}")
+            click.echo(
+                f"sequence: {s}\ndown {down}\ngr-down {gr_down}\ngr-up {c}\n"
+                f"d(R,S)={d_regular}\nd(Tr,S)={d_transitive}\nc(S)={c}"
+            )
 
 
 if __name__ == "__main__":

@@ -12,15 +12,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import comb
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, List, Optional
 
-from .sequences import (
-    LandauSequence,
-    ScoreVector,
-    _down_walk,
-    c_value,
-    regular_sequence,
-)
+from .sequences import LandauSequence, ScoreVector, c_value, distance, regular_sequence
 from .tournaments import Tournament, _matrix
 
 if TYPE_CHECKING:
@@ -106,11 +100,9 @@ def _realizable_score_tuples(n: int) -> frozenset:
 def realizable_by_brute_force(v: ScoreVector) -> bool:
     """True iff some enumerated tournament has ``v`` as its sorted scores."""
     scores = tuple(v)
-    if len(scores) > TOURNAMENT_CAP:
-        raise CapExceededError(
-            f"n={len(scores)} exceeds tournament cap {TOURNAMENT_CAP}"
-        )
-    return tuple(sorted(scores)) in _realizable_score_tuples(len(scores))
+    # the enumeration checks n, and its cap, before a score is sorted
+    realizable = _realizable_score_tuples(len(scores))
+    return tuple(sorted(scores)) in realizable
 
 
 def reachability(t: Tournament) -> np.ndarray:
@@ -144,35 +136,14 @@ class EnumerationStats:
     max_c: int
 
 
-def _down_walk_lengths(seqs: Sequence[LandauSequence], n: int) -> Dict[tuple, int]:
-    """Length of the down walk from each of ``seqs`` to R_n, by score tuple.
-
-    Each sequence takes real down jumps until it reaches one whose length is
-    known, or R_n; the lengths are then filled back along its path.  A down
-    jump lands strictly lower in the total order, so in ascending order every
-    sequence takes one jump, and the keys are the tuples of ``seqs``.
-    """
-    target = list(regular_sequence(n).scores)
-    lengths: Dict[tuple, int] = {}
-    for s in seqs:
-        if s.scores in lengths:
-            continue
-        path, a, known = [s.scores], list(s.scores), -1
-        for _ in _down_walk(a, target):
-            t = tuple(a)
-            known = lengths.get(t, -1)
-            if known >= 0:
-                break
-            path.append(t)
-        # without a break the path ends at R_n, whose length is 0
-        for i, t in enumerate(reversed(path), start=known + 1):
-            lengths[t] = i
-    return lengths
-
-
 def stats(n: int) -> EnumerationStats:
-    """Enumerate order n and aggregate trace lengths and 3-cycle counts."""
+    """Enumerate order n and aggregate trace lengths and 3-cycle counts.
+
+    The longest down trace is read off the largest d(R_n, S)/2, its length by
+    the identity the tests certify against walked traces.
+    """
     seqs = enumerate_landau_sequences(n)
+    r = regular_sequence(n).scores
     realizable = None
     if n <= TOURNAMENT_CAP:
         realizable = sum(1 for s in seqs if realizable_by_brute_force(s.scores))
@@ -180,6 +151,6 @@ def stats(n: int) -> EnumerationStats:
         n=n,
         sequence_count=len(seqs),
         realizable_count=realizable,
-        max_trace_length=max(_down_walk_lengths(seqs, n).values()),
+        max_trace_length=max(distance(s.scores, r) for s in seqs) // 2,
         max_c=max(c_value(s) for s in seqs),
     )

@@ -188,13 +188,21 @@ def first_equality_index(s: LandauSequence) -> Optional[int]:
     return next(_prefix_equalities(s.scores), None)
 
 
+def _order(n: int) -> int:
+    """``n`` read as an index: ``TypeError`` if it is not one (a bool is the 0
+    or 1 it equals), ``ValueError`` below 1."""
+    n = operator.index(n)
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return n
+
+
 def regular_sequence(n: int) -> LandauSequence:
     """Score sequence of a regular (n odd) or nearly-regular (n even) tournament.
 
     This is the minimum of the total order on valid sequences of length n.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _order(n)
     if n % 2 == 1:
         return LandauSequence._trusted(((n - 1) // 2,) * n)
     half = n // 2
@@ -206,9 +214,7 @@ def transitive_sequence(n: int) -> LandauSequence:
 
     This is the maximum of the total order on valid sequences of length n.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return LandauSequence._trusted(tuple(range(n)))
+    return LandauSequence._trusted(tuple(range(_order(n))))
 
 
 class Order(enum.IntEnum):
@@ -225,10 +231,8 @@ def compare_order(a: LandauSequence, b: LandauSequence) -> Order:
     """
     if len(a) != len(b):
         raise ValueError("sequences must have equal length")
-    for x, y in zip(reversed(tuple(a)), reversed(tuple(b))):
-        if x != y:
-            return Order.LESS if x < y else Order.GREATER
-    return Order.EQUAL
+    ra, rb = tuple(a)[::-1], tuple(b)[::-1]
+    return Order((ra > rb) - (ra < rb))
 
 
 def distance(a: ScoreVector, b: ScoreVector) -> int:
@@ -239,7 +243,7 @@ def distance(a: ScoreVector, b: ScoreVector) -> int:
     ta, tb = tuple(a), tuple(b)
     if len(ta) != len(tb):
         raise ValueError("sequences must have equal length")
-    return sum(abs(x - y) for x, y in zip(ta, tb))
+    return sum(map(abs, map(operator.sub, ta, tb)))
 
 
 class JumpAlgorithm(enum.Enum):
@@ -347,8 +351,10 @@ class JumpTrace:
         algorithm: Optional[JumpAlgorithm],
         pairs: array,
     ) -> "JumpTrace":
-        # A walk's own trace: the pairs take start to end under the algorithm.
+        # A walk's own trace: the pairs take start to end under the algorithm,
+        # which an empty trace does not hold, as in __init__.
         self = object.__new__(cls)
+        algorithm = algorithm if pairs else None
         self.__dict__.update(start=start, end=end, _algorithm=algorithm, _pairs=pairs)
         return self
 
@@ -387,18 +393,17 @@ class JumpTrace:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        # equal steps: equal pairs, and one algorithm unless there are none
+        # equal steps: equal pairs under one algorithm
         return (
             self.start == other.start
             and self.end == other.end
             and self._pairs == other._pairs
-            and (self._algorithm is other._algorithm or not self._pairs)
+            and self._algorithm is other._algorithm
         )
 
     def __hash__(self) -> int:
         # the fields __eq__ compares, so equal traces hash equal; no step is built
-        algorithm = self._algorithm if self._pairs else None
-        return hash((self.start, self.end, algorithm, self._pairs.tobytes()))
+        return hash((self.start, self.end, self._algorithm, self._pairs.tobytes()))
 
     def __repr__(self) -> str:
         return (
@@ -507,9 +512,15 @@ def _walk_plan(
 
 
 def _step(
-    algorithm: JumpAlgorithm, walk: Callable, s: LandauSequence, target: LandauSequence
+    algorithm: JumpAlgorithm,
+    walk: Callable,
+    s: LandauSequence,
+    target: LandauSequence,
+    at_target: type,
 ) -> JumpStep:
-    # the first step of the walk from s toward target; s is not the target
+    # the first step of the walk from s toward target; raises at_target at it
+    if s.scores == target.scores:
+        raise at_target(str(s))
     scores = list(s.scores)
     low, high = next(walk(scores, list(target.scores)))
     after = LandauSequence._trusted(tuple(scores))
@@ -531,9 +542,7 @@ def down_jump_step(s: LandauSequence) -> JumpStep:
     input in the total order, two closer to the regular sequence in 1-norm.
     """
     r = regular_sequence(s.n)
-    if s.scores == r.scores:
-        raise AlreadyRegular(str(s))
-    return _step(JumpAlgorithm.DOWN, _down_walk, s, r)
+    return _step(JumpAlgorithm.DOWN, _down_walk, s, r, AlreadyRegular)
 
 
 def down_trace(s: LandauSequence) -> JumpTrace:
@@ -550,9 +559,7 @@ def gr_down_step(u: LandauSequence, target: LandauSequence) -> JumpStep:
     """
     if len(u) != len(target):
         raise ValueError("sequences must have equal length")
-    if u.scores == target.scores:
-        raise Converged(str(u))
-    return _step(JumpAlgorithm.GR_DOWN, _gr_down_walk, u, target)
+    return _step(JumpAlgorithm.GR_DOWN, _gr_down_walk, u, target, Converged)
 
 
 def gr_down_trace(target: LandauSequence) -> JumpTrace:
@@ -567,9 +574,7 @@ def up_step(s: LandauSequence) -> JumpStep:
     that value; position k loses 1 and position k+m-1 gains 1.
     """
     tr = transitive_sequence(s.n)
-    if s.scores == tr.scores:
-        raise AlreadyTransitive(str(s))
-    return _step(JumpAlgorithm.GR_UP, _up_walk, s, tr)
+    return _step(JumpAlgorithm.GR_UP, _up_walk, s, tr, AlreadyTransitive)
 
 
 def up_trace(s: LandauSequence) -> JumpTrace:
@@ -588,8 +593,7 @@ def c_value(s: LandauSequence) -> int:
 
 def max_c_value(n: int) -> int:
     """Maximum of c over all valid sequences of length n, attained at R_n."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _order(n)
     if n % 2 == 1:
         return (n**3 - n) // 24
     return (n**3 - 4 * n) // 24
@@ -600,8 +604,7 @@ def max_down_jumps(n: int) -> int:
 
     Equals d(R_n, Tr_n)/2: (n^2-1)/8 for odd n, (n^2-2n)/8 for even n.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _order(n)
     if n % 2 == 1:
         return (n**2 - 1) // 8
     return (n**2 - 2 * n) // 8

@@ -18,7 +18,14 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .sequences import LandauSequence, _prefix_equalities, down_trace, validate_landau
+from .sequences import (
+    LandauSequence,
+    _order,
+    _prefix_equalities,
+    down_trace,
+    regular_sequence,
+    validate_landau,
+)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -192,16 +199,14 @@ def from_arcs(n: int, beats: Iterable[Tuple[int, int]]) -> Tournament:
     vertices are then checked in order for a missing pair, and each one
     passed holds n - 1 arcs.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    n = operator.index(n)
+    n = _order(n)
     width = min(n, _ARC_ROW_WIDTH)
     rows, ins = [0] * width, [0] * width
     far = defaultdict(dict)  # far[i][j] is True iff i beats j
     for i, j in beats:
+        i, j = operator.index(i), operator.index(j)
         if not (0 <= i < n and 0 <= j < n):
             raise ValueError(f"vertex out of range in arc ({i}, {j})")
-        i, j = operator.index(i), operator.index(j)
         if i == j:
             raise SelfLoopError(f"self-loop at vertex {i}")
         if i < width > j:
@@ -235,28 +240,13 @@ def score_sequence(t: Tournament) -> LandauSequence:
     return result
 
 
-def _rotational_rows(n: int) -> List[int]:
-    # n odd: vertex i beats i+1, ..., i+(n-1)/2 (mod n)
+def _regular_rows(n: int) -> List[int]:
+    # vertex i beats the next s_i vertices mod n, s = regular_sequence(n)
     full = (1 << n) - 1
-    block = (1 << (n - 1) // 2) - 1
     rows = []
-    for i in range(n):
-        wins = block << (i + 1)
+    for i, score in enumerate(regular_sequence(n).scores):
+        wins = ((1 << score) - 1) << (i + 1)
         rows.append((wins | wins >> n) & full)
-    return rows
-
-
-def _nearly_regular_rows(n: int) -> List[int]:
-    # n even: delete the last vertex of the rotational (n+1)-tournament; its
-    # n/2 in-neighbours n/2..n-1 drop to score n/2-1, so the stable sort by
-    # score is the relabeling i -> (i + n/2) mod n, a rotation of every row
-    full = (1 << n) - 1
-    h = n // 2
-    old = [row & full for row in _rotational_rows(n + 1)[:n]]
-    rows = []
-    for i in range(n):
-        row = old[(i + h) % n]
-        rows.append((row >> h | row << (n - h)) & full)
     return rows
 
 
@@ -281,21 +271,24 @@ def _matrix(rows: Sequence[int]) -> np.ndarray:
 
 def rotational_regular(n: int) -> Tournament:
     """Regular tournament on odd n: vertex i beats the next (n-1)/2 vertices mod n."""
+    n = operator.index(n)
     if n < 1 or n % 2 == 0:
         raise ValueError("n must be odd and >= 1")
-    return Tournament._trusted(_rotational_rows(n))
+    return Tournament._trusted(_regular_rows(n))
 
 
 def nearly_regular(n: int) -> Tournament:
-    """Nearly-regular tournament on even n.
+    """Nearly-regular tournament on even n: vertex i beats the next s_i
+    vertices mod n, where s = ``regular_sequence(n)``.
 
-    Deletes the highest-labeled vertex of the rotational regular
-    (n+1)-tournament, then relabels vertices in non-decreasing score order
-    so vertex i carries the i-th sorted score.
+    This is the rotational regular (n+1)-tournament less its highest-labeled
+    vertex, relabeled in non-decreasing score order so vertex i carries the
+    i-th sorted score.
     """
+    n = operator.index(n)
     if n < 2 or n % 2 == 1:
         raise ValueError("n must be even and >= 2")
-    return Tournament._trusted(_nearly_regular_rows(n))
+    return Tournament._trusted(_regular_rows(n))
 
 
 def strong_components(t: Tournament) -> StrongDecomposition:
@@ -395,18 +388,12 @@ def find_path(t: Tournament, src: int, dst: int) -> VertexPath:
     """Shortest directed path from src to dst, deterministic tie-breaking.
 
     Among the shortest paths, each vertex is the smallest-id vertex at its
-    BFS distance from src that beats the next vertex on the path.  The
-    search is a top-down BFS on the tournament's rows.  Before it builds a
-    level, it probes whether the level before beats dst's smallest
-    in-neighbour, and stops there if so; a level it does build ends the
-    search if it holds an in-neighbour of dst, taking the smallest.  Both
-    exits pick the smallest in-neighbour of dst that the last level beats,
-    the vertex the tie-break names.  A search costs O(n^2 / 64) word
-    operations at most (see ``_shortest_path``).
+    BFS distance from src that beats the next vertex on the path.  A search
+    costs O(n^2 / 64) word operations at most (see ``_shortest_path``).
     """
+    src, dst = operator.index(src), operator.index(dst)
     if not (0 <= src < t.n and 0 <= dst < t.n):
         raise ValueError("vertex out of range")
-    src, dst = operator.index(src), operator.index(dst)
     if src == dst:
         raise ValueError("path endpoints must differ")
     path = _shortest_path(t._rows, src, dst)
@@ -440,7 +427,7 @@ def _replay(s: LandauSequence) -> Iterator[List[int]]:
     flat array of positions, 8 bytes a jump, and read from its end.
     """
     positions = reversed(down_trace(s)._pairs)
-    rows = _rotational_rows(s.n) if s.n % 2 == 1 else _nearly_regular_rows(s.n)
+    rows = _regular_rows(s.n)
     yield rows
     for q, p in zip(positions, positions):
         path = _shortest_path(rows, p - 1, q - 1)

@@ -18,6 +18,7 @@ import landau
 from landau.cli import _RENDERERS, ECHO_CHUNK, REALIZE_CAP, TOURNAMENT_FORMATS, main
 from landau.oracle import enumerate_landau_sequences
 from landau.sequences import (
+    ViolationKind,
     down_trace,
     first_violation,
     gr_down_trace,
@@ -81,6 +82,32 @@ class TestValidate:
         f = tmp_path / "seqs.txt"
         f.write_text("1,1,1\n0,0,3\n")
         assert invoke(runner, "validate", "--file", str(f)).exit_code == 1
+
+
+    # sha256 of the output for every sequence up to n=8, then one invalid
+    # vector per ViolationKind, taken when --strong also called
+    # validate_strong_landau
+    BATCH_DIGESTS = {
+        ("text", False): "a86a91b8a50f99755c42bf66bc6f62f3f246e5dcaadfbe1c1a5598ab5e47f4c0",
+        ("text", True): "9ddf50c61bec66841c2ddd2879640cef554216dec1613ae234b1fd23d0daa514",
+        ("json", False): "ff05b012cecae66998ffd5e1088378340fad5c7b5672fc3b549ea2bd75f6aee3",
+        ("json", True): "d7988786c38671b50bfea16a64f53cec1fda7dce88815ed9a35bbc6446a0a7e8",
+    }
+    INVALID = ["-1,1,3", "2,1,0", "0,0,3", "1,1,2"]
+
+    @pytest.mark.parametrize("strong", [False, True])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_batch_output_digest(self, runner, tmp_path, fmt, strong):
+        seqs = [str(s) for n in range(1, 9) for s in enumerate_landau_sequences(n)]
+        kinds = {first_violation(map(int, v.split(","))).kind for v in self.INVALID}
+        assert kinds == set(ViolationKind)
+        path = tmp_path / "seqs.txt"
+        path.write_text("".join(f"{s}\n" for s in seqs + self.INVALID))
+        args = ["validate", "--file", str(path), "--format", fmt]
+        result = invoke(runner, *args, *(["--strong"] if strong else []))
+        assert result.exit_code == 1
+        digest = hashlib.sha256(result.output.encode()).hexdigest()
+        assert digest == self.BATCH_DIGESTS[fmt, strong]
 
 
 class TestRealize:

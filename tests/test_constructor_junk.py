@@ -30,6 +30,10 @@ from landau.sequences import (
     down_trace,
     first_violation,
     gr_down_trace,
+    max_c_value,
+    max_down_jumps,
+    regular_sequence,
+    transitive_sequence,
     up_trace,
     validate_landau,
 )
@@ -44,6 +48,7 @@ from landau.tournaments import (
     VertexPath,
     find_path,
     from_arcs,
+    nearly_regular,
     reverse_path,
     rotational_regular,
 )
@@ -313,6 +318,39 @@ class TestPaths:
             assert all(T5.beats(a, b) for a, b in zip(vp, vp.vertices[1:]))
             first, last = vp.vertices[0], vp.vertices[-1]
             assert result.score(first) == 1 and result.score(last) == 3
+
+
+#: Each function that reads an order n or a vertex id, as a function of it.
+INDEX_READERS = {
+    "regular_sequence": regular_sequence,
+    "transitive_sequence": transitive_sequence,
+    "max_c_value": max_c_value,
+    "max_down_jumps": max_down_jumps,
+    "rotational_regular": rotational_regular,
+    "nearly_regular": nearly_regular,
+    "from_arcs order": lambda x: from_arcs(x, []),
+    "from_arcs winner": lambda x: from_arcs(2, [(x, 1)]),
+    "from_arcs loser": lambda x: from_arcs(2, [(0, x)]),
+    "find_path src": lambda x: find_path(T5, x, 1),
+    "find_path dst": lambda x: find_path(T5, 0, x),
+}
+
+
+class TestIndices:
+    # a float is read by operator.index before any range check: 3.0 is not
+    # taken for 3, nor are 0.5 and -0.5 reported as out of range
+    @pytest.mark.parametrize("x", [0.5, -0.5, 3.0])
+    @pytest.mark.parametrize("name", sorted(INDEX_READERS))
+    def test_float_is_a_type_error(self, name, x):
+        with pytest.raises(TypeError):
+            INDEX_READERS[name](x)
+
+    @pytest.mark.parametrize("name", sorted(INDEX_READERS))
+    def test_bool_is_the_int_it_equals(self, name):
+        for b in (False, True):
+            result, error = _outcome(INDEX_READERS[name], b)
+            expected, expected_error = _outcome(INDEX_READERS[name], int(b))
+            assert result == expected and repr(error) == repr(expected_error)
 
 
 S = LandauSequence((2, 2, 2, 2, 2))

@@ -190,6 +190,34 @@ class TestRegularConstructions:
             expected = adj[:n, :n][np.ix_(perm, perm)]
             assert (nearly_regular(n).adjacency == expected).all()
 
+    @staticmethod
+    def reference_rows(n):
+        """The bit rows as built before they were read off the scores."""
+
+        def rotational(m):
+            # i beats i+1, ..., i+(m-1)/2 (mod m)
+            full, block = (1 << m) - 1, (1 << (m - 1) // 2) - 1
+            wins = [block << (i + 1) for i in range(m)]
+            return [(w | w >> m) & full for w in wins]
+
+        if n % 2:
+            return rotational(n)
+        # the rotational (n+1)-tournament less its last vertex, relabeled
+        # i -> (i + n/2) mod n: a rotation of every row by n/2
+        full, h = (1 << n) - 1, n // 2
+        old = [row & full for row in rotational(n + 1)[:n]]
+        rows = [old[(i + h) % n] for i in range(n)]
+        return [(row >> h | row << (n - h)) & full for row in rows]
+
+    def test_rows_match_the_reference_construction(self):
+        for n in range(1, 301):
+            expected = self.reference_rows(n)
+            t = rotational_regular(n) if n % 2 else nearly_regular(n)
+            assert list(t._rows) == expected, n
+            # the replay starts from the same rows
+            assert list(realize(regular_sequence(n))._rows) == expected, n
+            assert t._popcounts() == list(regular_sequence(n).scores), n
+
     def test_rotational_strong_for_odd_n_at_least_3(self):
         for n in (3, 5, 7, 9, 11):
             assert is_strong(rotational_regular(n))
