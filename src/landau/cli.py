@@ -10,7 +10,8 @@ order limit, ``realize`` on more than ``REALIZE_CAP`` scores, or a realized
 tournament that fails its O(n) score check before output), 2 usage or
 parse error (including a --file that is not UTF-8 text).  No subcommand
 imports numpy: tournaments are rendered from their bit rows, and ``realize``
-and ``trace`` write their output as it is made, in chunks of about 64 KiB.
+and ``trace`` hand their output to stdout as it is made, so stdout's own
+buffer bounds the text held at once.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ from .sequences import (
 from .tournaments import Tournament, realize as realize_tournament
 
 #: Longest sequence ``landau realize`` accepts: the realized tournament is n
-#: bit rows, n^2/8 bytes (12.5 MB at the cap), the output is written in
-#: chunks of about 64 KiB, and the replay makes up to n^2/8 path reversals.
+#: bit rows, n^2/8 bytes (12.5 MB at the cap), the output goes to stdout
+#: row by row, and the replay makes up to n^2/8 path reversals.
 #: Longer input exits 1 before anything is built.
 REALIZE_CAP = 10_000
 
@@ -94,26 +95,6 @@ def _seq_str(scores) -> str:
 
 def _json_ints(scores: Sequence[int]) -> str:
     return json.dumps(list(scores))
-
-
-#: ``_echo_stream`` echoes once this many characters of output are joined.
-ECHO_CHUNK = 1 << 16
-
-
-def _echo_stream(pieces: Iterator[str]) -> None:
-    """Echo text as it is made, one echo (a write and a flush) per ECHO_CHUNK
-    characters or so: an echo holds less than ECHO_CHUNK plus one piece."""
-    chunk: List[str] = []
-    size = 0
-    for piece in pieces:
-        chunk.append(piece)
-        size += len(piece)
-        if size >= ECHO_CHUNK:
-            click.echo("".join(chunk), nl=False)
-            chunk.clear()
-            size = 0
-    if chunk:
-        click.echo("".join(chunk), nl=False)
 
 
 class _LiteralCommand(click.Command):
@@ -260,7 +241,8 @@ def realize(sequence, file_, fmt):
         if t._popcounts() != list(s.scores):
             click.echo("error: realized tournament does not have the given scores", err=True)
             sys.exit(1)
-        _echo_stream(_RENDERERS[fmt](t))
+        sys.stdout.writelines(_RENDERERS[fmt](t))
+        sys.stdout.flush()  # ahead of a later literal's error on stderr
 
 
 def _trace_text(
@@ -305,7 +287,8 @@ def trace(sequence, file_, algorithm, fmt):
         # each step is written as the walk makes it, replayed on its own list
         positions = chain.from_iterable(walk(list(start.scores), list(end.scores)))
         scores = list(start.scores)
-        _echo_stream(render(start, end, _replayed(scores, jump, positions), scores))
+        sys.stdout.writelines(render(start, end, _replayed(scores, jump, positions), scores))
+        sys.stdout.flush()
 
 
 @main.command("enumerate", cls=_LiteralCommand)

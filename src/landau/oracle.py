@@ -14,7 +14,15 @@ from itertools import combinations
 from math import comb
 from typing import TYPE_CHECKING, Iterator, List, Optional
 
-from .sequences import LandauSequence, ScoreVector, c_value, distance, regular_sequence
+from .sequences import (
+    LandauSequence,
+    ScoreVector,
+    _int_scores,
+    _order,
+    c_value,
+    distance,
+    regular_sequence,
+)
 from .tournaments import Tournament, _matrix
 
 if TYPE_CHECKING:
@@ -32,34 +40,27 @@ def enumerate_landau_sequences(n: int) -> List[LandauSequence]:
     """All valid score sequences of length n, ascending in the total order.
 
     The regular sequence comes first and the transitive sequence last.
-    Generation is recursive over non-decreasing tuples with prefix-sum and
-    remaining-sum pruning.
+    Generation is recursive over non-decreasing tuples: position k+1 takes
+    each v with a prefix sum of at least C(k+1,2) that leaves the later
+    positions room to reach the total C(n,2) without falling below v.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _order(n)
     if n > SEQUENCE_CAP:
         raise CapExceededError(f"n={n} exceeds sequence cap {SEQUENCE_CAP}")
     total = comb(n, 2)
     found: List[tuple] = []
 
     def extend(prefix: List[int], prefix_sum: int) -> None:
+        # v <= n-1 and the last position takes exactly total - prefix_sum:
+        # both follow from prefix_sum >= C(k,2) by Landau's bounds
         k = len(prefix)
         if k == n:
-            if prefix_sum == total:
-                found.append(tuple(prefix))
+            found.append(tuple(prefix))
             return
-        lo = prefix[-1] if prefix else 0
-        for v in range(lo, n):
-            k1 = k + 1
-            s1 = prefix_sum + v
-            if s1 < comb(k1, 2):
-                continue
-            if s1 + (n - k1) * v > total:
-                break
-            if s1 + (n - k1) * (n - 1) < total:
-                continue
+        lo = max(prefix[-1] if prefix else 0, comb(k + 1, 2) - prefix_sum)
+        for v in range(lo, (total - prefix_sum) // (n - k) + 1):
             prefix.append(v)
-            extend(prefix, s1)
+            extend(prefix, prefix_sum + v)
             prefix.pop()
 
     extend([], 0)
@@ -75,8 +76,7 @@ def enumerate_tournaments(n: int) -> Iterator[Tournament]:
     Bit k of the mask orients the k-th pair (i, j), i < j, in lexicographic
     pair order: set means i beats j.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _order(n)
     if n > TOURNAMENT_CAP:
         raise CapExceededError(f"n={n} exceeds tournament cap {TOURNAMENT_CAP}")
     pairs = list(combinations(range(n), 2))
@@ -100,9 +100,9 @@ def _realizable_score_tuples(n: int) -> frozenset:
 def realizable_by_brute_force(v: ScoreVector) -> bool:
     """True iff some enumerated tournament has ``v`` as its sorted scores."""
     scores = tuple(v)
-    # the enumeration checks n, and its cap, before a score is sorted
+    # the enumeration checks n, and its cap, before a score is read
     realizable = _realizable_score_tuples(len(scores))
-    return tuple(sorted(scores)) in realizable
+    return tuple(sorted(_int_scores(scores))) in realizable
 
 
 def reachability(t: Tournament) -> np.ndarray:
@@ -143,14 +143,14 @@ def stats(n: int) -> EnumerationStats:
     the identity the tests certify against walked traces.
     """
     seqs = enumerate_landau_sequences(n)
-    r = regular_sequence(n).scores
+    r = regular_sequence(n)
     realizable = None
     if n <= TOURNAMENT_CAP:
-        realizable = sum(1 for s in seqs if realizable_by_brute_force(s.scores))
+        realizable = sum(1 for s in seqs if realizable_by_brute_force(s))
     return EnumerationStats(
         n=n,
         sequence_count=len(seqs),
         realizable_count=realizable,
-        max_trace_length=max(distance(s.scores, r) for s in seqs) // 2,
+        max_trace_length=max(distance(s, r) for s in seqs) // 2,
         max_c=max(c_value(s) for s in seqs),
     )

@@ -77,6 +77,11 @@ def _int_scores(v: ScoreVector) -> tuple:
     return tuple(map(operator.index, scores))
 
 
+def _scores(v: ScoreVector) -> tuple:
+    """A sequence's scores as they are, or a raw vector read by ``_int_scores``."""
+    return v.scores if isinstance(v, LandauSequence) else _int_scores(v)
+
+
 def _violation(scores: tuple) -> Optional[ViolationReport]:
     """First violation of Landau's conditions by a tuple of Python ints."""
     n = len(scores)
@@ -238,9 +243,11 @@ def compare_order(a: LandauSequence, b: LandauSequence) -> Order:
 def distance(a: ScoreVector, b: ScoreVector) -> int:
     """1-norm distance between two equal-length integer vectors.
 
-    For vectors with equal totals the result is always even.
+    A :class:`LandauSequence` is read by its scores, any other vector by the
+    score rule (``TypeError`` for a bool or a non-integer entry).  For
+    vectors with equal totals the result is always even.
     """
-    ta, tb = tuple(a), tuple(b)
+    ta, tb = _scores(a), _scores(b)
     if len(ta) != len(tb):
         raise ValueError("sequences must have equal length")
     return sum(map(abs, map(operator.sub, ta, tb)))
@@ -300,7 +307,7 @@ def _replayed(
         yield low, high
 
 
-@dataclass(frozen=True, init=False, repr=False, eq=False)
+@dataclass(frozen=True, init=False, repr=False)
 class JumpTrace:
     """A chain of jumps from ``start`` to ``end``, held as their positions.
 
@@ -390,19 +397,8 @@ class JumpTrace:
             )
         )
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        # equal steps: equal pairs under one algorithm
-        return (
-            self.start == other.start
-            and self.end == other.end
-            and self._pairs == other._pairs
-            and self._algorithm is other._algorithm
-        )
-
     def __hash__(self) -> int:
-        # the fields __eq__ compares, so equal traces hash equal; no step is built
+        # the fields the dataclass's == compares, so equal traces hash equal
         return hash((self.start, self.end, self._algorithm, self._pairs.tobytes()))
 
     def __repr__(self) -> str:

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -7,7 +9,6 @@ import tempfile
 from pathlib import Path
 from unittest import mock
 
-import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -15,7 +16,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import landau
-from landau.cli import _RENDERERS, ECHO_CHUNK, REALIZE_CAP, TOURNAMENT_FORMATS, main
+from landau.cli import _RENDERERS, REALIZE_CAP, TOURNAMENT_FORMATS, main
 from landau.oracle import enumerate_landau_sequences
 from landau.sequences import (
     ViolationKind,
@@ -163,17 +164,31 @@ class TestRealize:
         assert digest == self.FORMAT_DIGESTS[fmt]
 
     @pytest.mark.parametrize("fmt", TOURNAMENT_FORMATS)
-    def test_echoes_hold_a_chunk_plus_one_row(self, runner, pinned, fmt):
-        with mock.patch("landau.cli.click.echo", wraps=click.echo) as echo:
-            result = invoke(runner, "realize", "--file", pinned, "--format", fmt)
-        writes = [call.args[0] for call in echo.call_args_list]
-        assert "".join(writes) == result.output
+    def test_writes_hold_a_buffer_plus_one_row(self, runner, pinned, fmt):
+        # realize hands its rows to stdout as they are made; stdout's buffer,
+        # not the output's size, bounds each write that reaches the stream
+        writes = []
+
+        class Recorder(io.RawIOBase):
+            def writable(self):
+                return True
+
+            def write(self, data):
+                writes.append(bytes(data))
+                return len(data)
+
+        stdout = io.TextIOWrapper(io.BufferedWriter(Recorder()), encoding="utf-8")
+        with contextlib.redirect_stdout(stdout):
+            main.main(["realize", "--file", pinned, "--format", fmt], standalone_mode=False)
+        stdout.flush()
+        output = invoke(runner, "realize", "--file", pinned, "--format", fmt).output
+        assert b"".join(writes).decode() == output
         tournaments = [
             realize(validate_landau([int(x) for x in line.split(",")]))
             for line in Path(pinned).read_text().split()
         ]
         longest_row = max(len(row) for t in tournaments for row in _RENDERERS[fmt](t))
-        assert max(map(len, writes)) < ECHO_CHUNK + longest_row
+        assert max(map(len, writes)) <= io.DEFAULT_BUFFER_SIZE + longest_row
         if fmt == "json":  # the random n=200 tournament alone is about 240 KB
             assert len(writes) > 3
 
@@ -640,3 +655,25 @@ class TestNoNumpyOnTheCliPath:
         assert result.returncode == 0, result.stderr
         assert result.stdout
         assert result.stderr.endswith("numpy imported: False\n"), result.stderr
+
+
+@pytest.mark.parametrize("command", ["realize", "trace"])
+def test_output_comes_before_a_later_literals_error(tmp_path, command):
+    # each literal's output is flushed before the next literal is read, so on
+    # one shared stream it precedes that literal's error
+    seqs = tmp_path / "seqs.txt"
+    seqs.write_text("0,1,2\n0,0,5\n")
+    src = str(Path(landau.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    result = subprocess.run(
+        [sys.executable, "-m", "landau.cli", command, "--file", str(seqs)],
+        env={**env, "PYTHONPATH": path},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        text=True,
+    )
+    assert result.returncode == 1
+    first, error = result.stdout.rsplit("\n", 2)[:2]
+    assert first.endswith("2 1" if command == "realize" else "end: 1,1,1")
+    assert error == "invalid sequence: prefix sum 0 < 1 at k=2"

@@ -18,10 +18,12 @@ from itertools import combinations
 from math import comb
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from landau.oracle import enumerate_landau_sequences, enumerate_tournaments, stats
 from landau.sequences import (
     JumpAlgorithm,
     JumpTrace,
@@ -151,6 +153,7 @@ matrices = st.one_of(
 class TestTournamentMatrix:
     @junk_settings
     @given(m=matrices)
+    @example(m=np.zeros((0, 0), bool))
     def test_built_only_from_a_tournament(self, m):
         t, error = _outcome(Tournament, m)
         if error is not None:
@@ -333,6 +336,9 @@ INDEX_READERS = {
     "from_arcs loser": lambda x: from_arcs(2, [(0, x)]),
     "find_path src": lambda x: find_path(T5, x, 1),
     "find_path dst": lambda x: find_path(T5, 0, x),
+    "enumerate_landau_sequences": enumerate_landau_sequences,
+    "enumerate_tournaments": lambda x: next(enumerate_tournaments(x)),
+    "stats": stats,
 }
 
 

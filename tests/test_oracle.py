@@ -55,7 +55,8 @@ class TestEnumerateSequences:
         assert [s.scores for s in enumerate_landau_sequences(1)] == [(0,)]
 
     @pytest.mark.parametrize(
-        "n,count", list(enumerate([1, 1, 2, 4, 9, 22, 59, 167, 490, 1486], start=1))
+        "n,count",
+        list(enumerate([1, 1, 2, 4, 9, 22, 59, 167, 490, 1486, 4639, 14805], start=1)),
     )
     def test_cardinalities(self, n, count):
         assert len(enumerate_landau_sequences(n)) == count

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from landau.oracle import enumerate_landau_sequences
+from landau.oracle import enumerate_landau_sequences, realizable_by_brute_force
 from landau.sequences import (
     AlreadyRegular,
     AlreadyTransitive,
@@ -102,7 +102,15 @@ class TestScoreInputTypes:
         ],
     )
     @pytest.mark.parametrize(
-        "check", [first_violation, validate_landau, LandauSequence]
+        "check",
+        [
+            first_violation,
+            validate_landau,
+            LandauSequence,
+            realizable_by_brute_force,
+            pytest.param(lambda v: distance(v, (0, 1)), id="distance-left"),
+            pytest.param(lambda v: distance((0, 1), v), id="distance-right"),
+        ],
     )
     def test_non_integer_entries_raise_type_error(self, check, scores):
         with pytest.raises(TypeError):
