@@ -6,12 +6,13 @@ with a minus sign, such as ``-1,1,3``, is a literal if it parses as one, and
 an unknown option otherwise), or one per line via --file for batch runs.
 Results go to stdout, diagnostics to stderr.  Exit codes: 0 success, 1
 domain failure (invalid sequence, a cap exceeded: ``enumerate`` above its
-order limit, ``realize`` on more than ``REALIZE_CAP`` scores, or a realized
-tournament that fails its O(n) score check before output), 2 usage or
-parse error (including a --file that is not UTF-8 text).  No subcommand
-imports numpy: tournaments are rendered from their bit rows, and ``realize``
-and ``trace`` hand their output to stdout as it is made, so stdout's own
-buffer bounds the text held at once.
+order limit, ``realize`` on more than ``REALIZE_CAP`` scores or more than
+``REALIZE_JUMP_CAP`` jumps, or a realized tournament that fails its O(n)
+score check before output), 2 usage or parse error (including a --file
+that is not UTF-8 text).  No subcommand imports numpy: tournaments are
+rendered from their bit rows, and ``realize`` and ``trace`` hand their
+output to stdout as it is made, so stdout's own buffer bounds the text
+held at once.
 """
 
 from __future__ import annotations
@@ -40,10 +41,15 @@ from .sequences import (
 from .tournaments import Tournament, realize as realize_tournament
 
 #: Longest sequence ``landau realize`` accepts: the realized tournament is n
-#: bit rows, n^2/8 bytes (12.5 MB at the cap), the output goes to stdout
-#: row by row, and the replay makes up to n^2/8 path reversals.
-#: Longer input exits 1 before anything is built.
+#: bit rows, n^2/8 bytes (12.5 MB at the cap), and the output goes to stdout
+#: row by row.  Longer input exits 1 before anything is built.
 REALIZE_CAP = 10_000
+
+#: Most jumps ``landau realize`` makes: the replay reverses d(R,S)/2 paths,
+#: up to n^2/8, so the length cap alone bounds memory but not time.  Random
+#: scores at n=10,000 take about 197,000 jumps; Tr_1414, 249,571.  A
+#: sequence over the cap exits 1 after one O(n) distance, before any walk.
+REALIZE_JUMP_CAP = 250_000
 
 
 def _literal(text: str) -> Optional[Tuple[int, ...]]:
@@ -236,6 +242,14 @@ def realize(sequence, file_, fmt):
             )
             sys.exit(1)
         s = _require_valid(raw)
+        jumps = distance(s, regular_sequence(s.n)) // 2
+        if jumps > REALIZE_JUMP_CAP:
+            click.echo(
+                f"error: sequence needs {jumps} jumps, over the realize jump cap "
+                f"of {REALIZE_JUMP_CAP}",
+                err=True,
+            )
+            sys.exit(1)
         t = realize_tournament(s)
         # O(n) check before any output: vertex i must carry score s_i
         if t._popcounts() != list(s.scores):
@@ -311,8 +325,8 @@ def enumerate_sequences(n, show_stats, fmt):
             if fmt == "json":
                 click.echo(json.dumps([list(s.scores) for s in seqs]))
             else:
-                for s in seqs:
-                    click.echo(str(s))
+                sys.stdout.writelines(f"{s}\n" for s in seqs)
+                sys.stdout.flush()
     except (oracle.CapExceededError, ValueError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)

@@ -39,34 +39,34 @@ class CapExceededError(Exception):
 def enumerate_landau_sequences(n: int) -> List[LandauSequence]:
     """All valid score sequences of length n, ascending in the total order.
 
-    The regular sequence comes first and the transitive sequence last.
-    Generation is recursive over non-decreasing tuples: position k+1 takes
-    each v with a prefix sum of at least C(k+1,2) that leaves the later
-    positions room to reach the total C(n,2) without falling below v.
+    The regular sequence comes first and the transitive sequence last.  The
+    sequences are generated in that order, so none is sorted: positions are
+    filled from the last one down to the first, each trying its values in
+    ascending order, which is ascending order on the reversed tuples.
     """
     n = _order(n)
     if n > SEQUENCE_CAP:
         raise CapExceededError(f"n={n} exceeds sequence cap {SEQUENCE_CAP}")
-    total = comb(n, 2)
     found: List[tuple] = []
 
-    def extend(prefix: List[int], prefix_sum: int) -> None:
-        # v <= n-1 and the last position takes exactly total - prefix_sum:
-        # both follow from prefix_sum >= C(k,2) by Landau's bounds
-        k = len(prefix)
-        if k == n:
-            found.append(tuple(prefix))
+    def fill(k: int, cap: int, rest: int, suffix: tuple) -> None:
+        # Position k (1-based) is at most cap, the value placed at k+1, and
+        # positions 1..k must sum to rest, where C(k,2) <= rest <= k*cap.  It
+        # takes each x from ceil(rest/k), so the k-1 earlier positions, each
+        # at most x, can still reach rest - x, up to min(cap, rest - C(k-1,2)),
+        # so their sum stays at or above C(k-1,2).  Both bounds then hold at
+        # k-1, and the range is never empty (ceil(rest/k) <= cap as rest <=
+        # k*cap, and <= rest - C(k-1,2) as rest >= C(k,2)), so every branch
+        # ends in a valid sequence; position 1 takes exactly rest.
+        if k == 1:
+            found.append((rest,) + suffix)
             return
-        lo = max(prefix[-1] if prefix else 0, comb(k + 1, 2) - prefix_sum)
-        for v in range(lo, (total - prefix_sum) // (n - k) + 1):
-            prefix.append(v)
-            extend(prefix, prefix_sum + v)
-            prefix.pop()
+        for x in range(-(-rest // k), min(cap, rest - comb(k - 1, 2)) + 1):
+            fill(k - 1, x, rest - x, (x,) + suffix)
 
-    extend([], 0)
-    found.sort(key=lambda t: t[::-1])
-    # the pruning admits only valid tuples, so none is checked again here;
-    # tests/test_oracle.py checks every one, at every order up to the cap
+    fill(n, n - 1, comb(n, 2), ())
+    # tests/test_oracle.py checks every tuple, and the order, against an
+    # independent filter at every order up to the cap
     return list(map(LandauSequence._trusted, found))
 
 

@@ -584,7 +584,7 @@ def c_value(s: LandauSequence) -> int:
     Any tournament realizing ``s`` has exactly this many directed 3-cycles,
     and the up-jump algorithm takes exactly this many steps from ``s``.
     """
-    return comb(s.n, 3) - sum(comb(x, 2) for x in s.scores)
+    return comb(s.n, 3) - sum(map(comb, s.scores, repeat(2)))
 
 
 def max_c_value(n: int) -> int:

@@ -452,6 +452,9 @@ def realize(s: LandauSequence) -> Tournament:
 
     The replay makes d(R,S)/2 jumps, each one shortest-path search and one
     reversal on the bit rows: O(n^2 / 64) word operations a jump at most.
+    No cap applies here: the transitive sequence takes n^2/8 jumps, so the
+    bound is O(n^4 / 512) word operations in all.  ``landau realize`` reads
+    d(R,S)/2 first and refuses more than ``cli.REALIZE_JUMP_CAP`` jumps.
     """
     for rows in _replay(s):
         pass

@@ -16,13 +16,24 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import landau
-from landau.cli import _RENDERERS, REALIZE_CAP, TOURNAMENT_FORMATS, main
+from landau.cli import (
+    _RENDERERS,
+    REALIZE_CAP,
+    REALIZE_JUMP_CAP,
+    TOURNAMENT_FORMATS,
+    main,
+)
 from landau.oracle import enumerate_landau_sequences
 from landau.sequences import (
     ViolationKind,
+    distance,
+    down_jump_step,
     down_trace,
     first_violation,
     gr_down_trace,
+    max_down_jumps,
+    regular_sequence,
+    transitive_sequence,
     up_trace,
     validate_landau,
 )
@@ -214,6 +225,55 @@ class TestRealize:
         validate.assert_not_called()
         build.assert_not_called()
 
+    @staticmethod
+    def with_jumps(jumps):
+        """A sequence d(R,S)/2 = jumps from R_n: each down jump from Tr_n
+        brings it one jump closer."""
+        n = 1
+        while max_down_jumps(n) < jumps:
+            n += 1
+        s = transitive_sequence(n)
+        for _ in range(max_down_jumps(n) - jumps):
+            s = down_jump_step(s).after
+        assert distance(s, regular_sequence(n)) == 2 * jumps
+        return s
+
+    def test_at_the_jump_cap_goes_on_to_build(self, runner):
+        literal = str(self.with_jumps(REALIZE_JUMP_CAP))
+
+        class Built(Exception):
+            pass
+
+        with mock.patch("landau.cli.realize_tournament", side_effect=Built) as build:
+            result = invoke(runner, "realize", literal)
+        build.assert_called_once()
+        assert isinstance(result.exception, Built)
+
+    def test_over_the_jump_cap_exits_1_before_any_walk(self, runner):
+        literal = str(self.with_jumps(REALIZE_JUMP_CAP + 1))
+        with mock.patch("landau.cli.realize_tournament") as build:
+            result = invoke(runner, "realize", literal)
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == (
+            f"error: sequence needs {REALIZE_JUMP_CAP + 1} jumps, over the "
+            f"realize jump cap of {REALIZE_JUMP_CAP}\n"
+        )
+        build.assert_not_called()
+
+    def test_random_10000_is_under_the_jump_cap(self):
+        # criterion 8's draw (seed 7) at n=10,000, one row of the matrix at a
+        # time: 197,164 jumps
+        n = 10_000
+        rng = np.random.default_rng(7)
+        scores = np.zeros(n, dtype=np.int64)
+        for i in range(n):
+            wins = rng.random(n)[i + 1 :] < 0.5
+            scores[i] += wins.sum()
+            scores[i + 1 :] += ~wins
+        s = validate_landau(sorted(scores.tolist()))
+        assert distance(s, regular_sequence(n)) // 2 == 197_164 <= REALIZE_JUMP_CAP
+
     @pytest.mark.parametrize("fmt", TOURNAMENT_FORMATS)
     def test_wrong_realization_exits_1_before_output(self, runner, fmt):
         # the transitive tournament has scores 0, 1, 2, not 1, 1, 1
@@ -351,6 +411,22 @@ class TestEnumerate:
     def test_json(self, runner):
         payload = json.loads(invoke(runner, "enumerate", "3", "--format", "json").output)
         assert payload == [[1, 1, 1], [0, 1, 2]]
+
+    # sha256 of the order-12 output, taken when the enumeration sorted its
+    # tuples after generating them in lexicographic order
+    N12_DIGESTS = {
+        (): "4b690f60d7ef87d8db8a4001edac4203ce2bae84cfe10374d564ce29ec692f4e",
+        ("--format", "json"): "9be547b9b3e7eaecfc5c30600c0987c7f1ab4177ae99f61d02c51ac67e0bb577",
+        ("--stats", "--format", "json"): (
+            "f2ebe5cc430c7ab3be9e312f5b05bdafad6b1cd6c542fa1d0586895ba0eb31fe"
+        ),
+    }
+
+    @pytest.mark.parametrize("extra", list(N12_DIGESTS))
+    def test_n12_digest(self, runner, extra):
+        result = run(runner, "enumerate", "12", *extra)
+        digest = hashlib.sha256(result.output.encode()).hexdigest()
+        assert digest == self.N12_DIGESTS[extra]
 
     def test_stats_n12_json_pin(self, runner):
         result = run(runner, "enumerate", "12", "--stats", "--format", "json")

@@ -21,7 +21,7 @@ from landau.sequences import (
     max_c_value,
     max_down_jumps,
 )
-from landau.tournaments import Tournament, count_3cycles, from_arcs
+from landau.tournaments import Tournament, count_3cycles, from_arcs, realize
 
 
 def brute_sequences(n):
@@ -61,7 +61,7 @@ class TestEnumerateSequences:
     def test_cardinalities(self, n, count):
         assert len(enumerate_landau_sequences(n)) == count
 
-    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("n", range(1, 13))
     def test_matches_independent_filter(self, n):
         assert [s.scores for s in enumerate_landau_sequences(n)] == brute_sequences(n)
 
@@ -152,6 +152,12 @@ class TestStats:
     def test_landau_theorem_counts_agree(self, n):
         st = stats(n)
         assert st.sequence_count == st.realizable_count
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_max_c_is_the_most_3_cycles_counted_on_arcs(self, n):
+        # the arc count of each realization, not the score formula of c_value
+        most = max(count_3cycles(realize(s)) for s in enumerate_landau_sequences(n))
+        assert stats(n).max_c == most
 
     def test_n12_pin(self):
         assert stats(12) == EnumerationStats(12, 14805, None, 15, 70)
