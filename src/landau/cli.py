@@ -7,8 +7,9 @@ an unknown option otherwise), or one per line via --file for batch runs.
 Results go to stdout, diagnostics to stderr.  Exit codes: 0 success, 1
 domain failure (invalid sequence, a cap exceeded: ``enumerate`` above its
 order limit, ``realize`` on more than ``REALIZE_CAP`` scores or more than
-``REALIZE_JUMP_CAP`` jumps, or a realized tournament that fails its O(n)
-score check before output), 2 usage or parse error (including a --file
+``REALIZE_JUMP_CAP`` jumps, a realized tournament that fails its O(n)
+score check before output, or a ``trace`` of more than ``TRACE_CAP``
+scores, steps x n), 2 usage or parse error (including a --file
 that is not UTF-8 text).  No subcommand imports numpy: tournaments are
 rendered from their bit rows, and ``realize`` and ``trace`` hand their
 output to stdout as it is made, so stdout's own buffer bounds the text
@@ -38,7 +39,7 @@ from .sequences import (
     transitive_sequence,
     validate_landau,
 )
-from .tournaments import Tournament, realize as realize_tournament
+from .tournaments import Tournament, _flags, realize as realize_tournament
 
 #: Longest sequence ``landau realize`` accepts: the realized tournament is n
 #: bit rows, n^2/8 bytes (12.5 MB at the cap), and the output goes to stdout
@@ -50,6 +51,22 @@ REALIZE_CAP = 10_000
 #: scores at n=10,000 take about 197,000 jumps; Tr_1414, 249,571.  A
 #: sequence over the cap exits 1 after one O(n) distance, before any walk.
 REALIZE_JUMP_CAP = 250_000
+
+#: Most scores ``landau trace`` writes, steps x n: each step is a line of n
+#: scores, and the steps grow as n^2/8 (down, gr-down) or n^3/24 (gr-up), so
+#: a 2 KB literal (R_1001 under gr-up: 41.8M steps) would otherwise run for
+#: hours.  A trace over the cap exits 1 after O(n) work, before any walk.
+TRACE_CAP = 100_000_000
+
+
+def _walk_lengths(s: LandauSequence) -> dict:
+    """Each walk's steps from ``s`` by the identities the tests certify,
+    with the distances and c(S) they come from; O(n)."""
+    d_regular = distance(s, regular_sequence(s.n))
+    d_transitive = distance(s, transitive_sequence(s.n))
+    c = c_value(s)
+    walks = dict(down=d_regular // 2, gr_down=d_transitive // 2, gr_up=c)
+    return dict(walks, d_regular=d_regular, d_transitive=d_transitive, c=c)
 
 
 def _literal(text: str) -> Optional[Tuple[int, ...]]:
@@ -163,22 +180,11 @@ def validate(sequence, file_, strong, fmt):
     sys.exit(1 if failed else 0)
 
 
-#: ``format(row, "0nb")`` digits as bytes 0/1, for ``itertools.compress``
-_BITS = bytes.maketrans(b"01", b"\x00\x01")
-
-
-def _bit_strings(t: Tournament) -> Iterator[str]:
-    """Each row as n digits "0"/"1", digit j set iff the vertex beats j."""
-    width = f"0{t.n}b"
-    for row in t._rows:
-        yield format(row, width)[::-1]
-
-
 def _out_rows(t: Tournament) -> Iterator[Tuple[str, List[str]]]:
     """Each vertex that beats someone, as a label with the labels it beats."""
     labels = [str(i) for i in range(t.n)]
-    for label, bits in zip(labels, _bit_strings(t)):
-        losers = list(compress(labels, bits.encode().translate(_BITS)))
+    for label, row in zip(labels, t._rows):
+        losers = list(compress(labels, _flags(row)))
         if losers:
             yield label, losers
 
@@ -190,8 +196,10 @@ def _render_arclist(t: Tournament) -> Iterator[str]:
 
 
 def _render_matrix(t: Tournament) -> Iterator[str]:
-    for bits in _bit_strings(t):
-        yield bits + "\n"
+    # n digits a row, digit j "1" iff the vertex beats j
+    width = f"0{t.n}b"
+    for row in t._rows:
+        yield format(row, width)[::-1] + "\n"
 
 
 def _render_dot(t: Tournament) -> Iterator[str]:
@@ -242,7 +250,7 @@ def realize(sequence, file_, fmt):
             )
             sys.exit(1)
         s = _require_valid(raw)
-        jumps = distance(s, regular_sequence(s.n)) // 2
+        jumps = _walk_lengths(s)["down"]
         if jumps > REALIZE_JUMP_CAP:
             click.echo(
                 f"error: sequence needs {jumps} jumps, over the realize jump cap "
@@ -296,6 +304,14 @@ def trace(sequence, file_, algorithm, fmt):
     render = _trace_json if fmt == "json" else _trace_text
     for literal in _gather_literals(sequence, file_):
         s = _require_valid(_parse_literal(literal))
+        steps = _walk_lengths(s)[algorithm.replace("-", "_")]
+        if steps * s.n > TRACE_CAP:
+            click.echo(
+                f"error: trace needs {steps} steps of {s.n} scores, over the "
+                f"trace cap of {TRACE_CAP} scores",
+                err=True,
+            )
+            sys.exit(1)
         jump = JumpAlgorithm(algorithm)
         walk, start, end = _walk_plan(jump, s)
         # each step is written as the walk makes it, replayed on its own list
@@ -340,19 +356,14 @@ def compare(sequence, file_, fmt):
     """Jump counts of all three algorithms, with distances and 3-cycle count."""
     for literal in _gather_literals(sequence, file_):
         s = _require_valid(_parse_literal(literal))
-        d_regular = distance(s, regular_sequence(s.n))
-        d_transitive = distance(s, transitive_sequence(s.n))
-        c = c_value(s)
-        # walk lengths by the identities the tests certify: d(R,S)/2, d(Tr,S)/2, c(S)
-        down, gr_down = d_regular // 2, d_transitive // 2
+        w = _walk_lengths(s)
         if fmt == "json":
-            fields = dict(sequence=list(s.scores), down=down, gr_down=gr_down, gr_up=c)
-            fields.update(d_regular=d_regular, d_transitive=d_transitive, c=c)
-            click.echo(json.dumps(fields))
+            click.echo(json.dumps(dict(sequence=list(s.scores), **w)))
         else:
             click.echo(
-                f"sequence: {s}\ndown {down}\ngr-down {gr_down}\ngr-up {c}\n"
-                f"d(R,S)={d_regular}\nd(Tr,S)={d_transitive}\nc(S)={c}"
+                f"sequence: {s}\ndown {w['down']}\ngr-down {w['gr_down']}\n"
+                f"gr-up {w['gr_up']}\nd(R,S)={w['d_regular']}\n"
+                f"d(Tr,S)={w['d_transitive']}\nc(S)={w['c']}"
             )
 
 

@@ -121,6 +121,16 @@ def reachability(t: Tournament) -> np.ndarray:
     return _matrix(reach)
 
 
+def three_cycles(t: Tournament) -> int:
+    """Number of cyclic triples, counted on the arcs, not read off the scores.
+
+    An arc i -> j closes a 3-cycle with each k in ``rows[j]`` and not in
+    ``rows[i]``, so each cycle is counted once for each of its three arcs.
+    """
+    rows = t._rows
+    return sum((rows[j] & ~rows[i]).bit_count() for i, j in t.arcs()) // 3
+
+
 @dataclass(frozen=True)
 class EnumerationStats:
     """Aggregate counts and maxima over the enumerated sequences of order n.

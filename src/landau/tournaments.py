@@ -6,9 +6,10 @@ centerpiece is :func:`realize`, which builds an explicit tournament with any
 prescribed valid score sequence by running the down-jump walk on the
 sequence and then replaying it in reverse as a series of path reversals
 starting from a regular or nearly-regular tournament.  The replay works on
-the same rows, and the result holds them as they are.  numpy is imported
-only by the functions that read or return an array: the constructor from a
-matrix, ``adjacency``, ``scores()`` and :func:`count_3cycles`.
+the same rows, and the result holds them as they are; every reader of a row
+decodes it through ``_flags``.  numpy is imported only by the functions that
+read or return an array: the constructor from a matrix, ``adjacency`` and
+``scores()``.
 """
 
 from __future__ import annotations
@@ -16,12 +17,15 @@ from __future__ import annotations
 import operator
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import reduce
+from itertools import compress, count
 from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .sequences import (
     LandauSequence,
     _order,
     _prefix_equalities,
+    c_value,
     down_trace,
     regular_sequence,
     validate_landau,
@@ -310,12 +314,18 @@ def is_strong(t: Tournament) -> bool:
     return len(strong_components(t).components) == 1
 
 
+#: ``format(bits, "b")`` digits as bytes 0/1, for ``itertools.compress``
+_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _flags(bits: int) -> bytes:
+    """Byte j is 1 iff bit j of ``bits`` is set; it ends at the highest set bit."""
+    return format(bits, "b")[::-1].encode().translate(_BITS)
+
+
 def _ids(bits: int) -> Iterator[int]:
     """The vertex ids of a bit set, ascending."""
-    while bits:
-        low = bits & -bits
-        yield low.bit_length() - 1
-        bits ^= low
+    return compress(count(), _flags(bits))
 
 
 def _lowest(bits: int) -> int:
@@ -336,7 +346,8 @@ def _shortest_path(rows: Sequence[int], src: int, dst: int) -> Optional[List[int
     One probe decides the common case: if the level beats ``probe``, the
     smallest in-neighbour of all, that is the vertex, and the next level is
     never built.  Otherwise the next level is built top-down, as the union
-    of the level's out-sets less the vertices seen.  That is exactly the
+    of the level's out-sets less the vertices seen: ``_flags`` selects the
+    level's rows and ``reduce`` ORs them, both in C.  That is exactly the
     set of unvisited vertices the level beats, so its lowest in-neighbour
     of dst is the vertex sought; if it holds none, the search goes on from
     it.  The path is rebuilt backwards from the lowest set bit of
@@ -362,13 +373,7 @@ def _shortest_path(rows: Sequence[int], src: int, dst: int) -> Optional[List[int
         if level & beats_probe:
             last = probe
             break
-        new = 0
-        bits = level
-        while bits:
-            low = bits & -bits
-            new |= rows[low.bit_length() - 1]
-            bits ^= low
-        new &= ~seen
+        new = reduce(operator.or_, compress(rows, _flags(level)), 0) & ~seen
         if new & into:
             last = _lowest(new & into)
             break
@@ -472,15 +477,10 @@ def realize_stages(s: LandauSequence) -> List[Tournament]:
 
 
 def count_3cycles(t: Tournament) -> int:
-    """Number of cyclic triples, counted directly from the arc structure.
+    """Number of cyclic triples, read off the scores in O(n).
 
-    trace(A^3) / 3, as the sum of (A @ A) * A.T.  The product runs in
-    float32, which numpy hands to BLAS (int64 it does not): each entry of
-    A @ A is an integer at most n, exact while n < 2^24.  The sum, three
-    times the count and at most n^3 / 2, runs in float64 and is exact below
-    2^53, that is for n up to 200,000.
+    C(n,3) - sum C(s_i,2) (Kendall & Babington Smith, 1940): a transitive
+    triple has exactly one vertex that beats the other two.  The tests
+    check it against ``oracle.three_cycles``, which counts on the arcs.
     """
-    import numpy as np
-
-    f = t.adjacency.astype(np.float32)
-    return int(((f @ f) * f.T).sum(dtype=np.float64)) // 3
+    return c_value(score_sequence(t))

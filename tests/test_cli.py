@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from itertools import islice
 from pathlib import Path
 from unittest import mock
 
@@ -21,16 +22,19 @@ from landau.cli import (
     REALIZE_CAP,
     REALIZE_JUMP_CAP,
     TOURNAMENT_FORMATS,
+    TRACE_CAP,
     main,
 )
 from landau.oracle import enumerate_landau_sequences
 from landau.sequences import (
     ViolationKind,
+    c_value,
     distance,
     down_jump_step,
     down_trace,
     first_violation,
     gr_down_trace,
+    max_c_value,
     max_down_jumps,
     regular_sequence,
     transitive_sequence,
@@ -392,6 +396,68 @@ class TestTrace:
             for st in tr.steps
         ]
 
+    @staticmethod
+    def with_steps(algorithm, n, steps):
+        """A sequence of order n whose trace under ``algorithm`` takes ``steps``.
+
+        The down walk from Tr_n to R_n takes d(Tr,R)/2 jumps, each two units
+        of distance, so its k-th sequence is k jumps from Tr_n and
+        d(Tr,R)/2 - k from R_n; each step of the up walk from R_n takes one
+        from c.
+        """
+        if algorithm == "gr-up":
+            walk, index = up_trace(regular_sequence(n)), max_c_value(n) - steps
+        else:
+            walk = down_trace(transitive_sequence(n))
+            index = max_down_jumps(n) - steps if algorithm == "down" else steps
+        s = next(islice(walk.sequences(), index, None))
+        counted = {
+            "down": distance(s, regular_sequence(n)) // 2,
+            "gr-down": distance(s, transitive_sequence(n)) // 2,
+            "gr-up": c_value(s),
+        }
+        assert counted[algorithm] == steps
+        return s
+
+    @staticmethod
+    def at_the_cap(algorithm, over):
+        """At the least order n that divides TRACE_CAP and where ``algorithm``
+        can take TRACE_CAP / n + 1 steps, a sequence with TRACE_CAP / n + over
+        steps: exactly the cap, or one step more."""
+        most = max_c_value if algorithm == "gr-up" else max_down_jumps
+        n = 1
+        while TRACE_CAP % n or most(n) <= TRACE_CAP // n:
+            n += 1
+        steps = TRACE_CAP // n + over
+        return TestTrace.with_steps(algorithm, n, steps), steps
+
+    @pytest.mark.parametrize("algorithm", ["down", "gr-down", "gr-up"])
+    def test_at_the_trace_cap_goes_on_to_walk(self, runner, algorithm):
+        s, steps = self.at_the_cap(algorithm, over=False)
+        assert steps * s.n == TRACE_CAP
+
+        class Walked(Exception):
+            pass
+
+        with mock.patch("landau.cli._walk_plan", side_effect=Walked) as walk:
+            result = invoke(runner, "trace", str(s), "--algorithm", algorithm)
+        walk.assert_called_once()
+        assert isinstance(result.exception, Walked)
+
+    @pytest.mark.parametrize("algorithm", ["down", "gr-down", "gr-up"])
+    def test_over_the_trace_cap_exits_1_before_any_walk(self, runner, algorithm):
+        s, steps = self.at_the_cap(algorithm, over=True)
+        assert (steps - 1) * s.n == TRACE_CAP
+        with mock.patch("landau.cli._walk_plan") as walk:
+            result = invoke(runner, "trace", str(s), "--algorithm", algorithm)
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == (
+            f"error: trace needs {steps} steps of {s.n} scores, over the trace "
+            f"cap of {TRACE_CAP} scores\n"
+        )
+        walk.assert_not_called()
+
 
 class TestEnumerate:
     def test_n4_listing(self, runner):
@@ -702,6 +768,26 @@ finally:
     sys.stderr.write("numpy imported: %s\\n" % ("numpy" in sys.modules))
 """
 
+#: The same report for a library call: 3-cycles read off the scores.
+_LIBRARY_PROBE = """
+import sys
+from landau.sequences import regular_sequence
+from landau.tournaments import count_3cycles, realize
+print(count_3cycles(realize(regular_sequence(9))))
+sys.stderr.write("numpy imported: %s\\n" % ("numpy" in sys.modules))
+"""
+
+
+def _run_probe(probe, *args):
+    src = str(Path(landau.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", probe, *args],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+    )
+
 
 class TestNoNumpyOnTheCliPath:
     @pytest.mark.parametrize(
@@ -720,17 +806,16 @@ class TestNoNumpyOnTheCliPath:
         ids=" ".join,
     )
     def test_command_runs_without_numpy(self, args):
-        src = str(Path(landau.__file__).resolve().parent.parent)
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        result = subprocess.run(
-            [sys.executable, "-c", _NUMPY_PROBE, *args],
-            env={**os.environ, "PYTHONPATH": path},
-            capture_output=True,
-            text=True,
-        )
+        result = _run_probe(_NUMPY_PROBE, *args)
         assert result.returncode == 0, result.stderr
         assert result.stdout
         assert result.stderr.endswith("numpy imported: False\n"), result.stderr
+
+    def test_count_3cycles_runs_without_numpy(self):
+        result = _run_probe(_LIBRARY_PROBE)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "30\n"  # max_c_value(9)
+        assert result.stderr == "numpy imported: False\n"
 
 
 @pytest.mark.parametrize("command", ["realize", "trace"])

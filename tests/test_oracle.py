@@ -12,6 +12,7 @@ from landau.oracle import (
     reachability,
     realizable_by_brute_force,
     stats,
+    three_cycles,
 )
 from landau.sequences import (
     Order,
@@ -21,7 +22,7 @@ from landau.sequences import (
     max_c_value,
     max_down_jumps,
 )
-from landau.tournaments import Tournament, count_3cycles, from_arcs, realize
+from landau.tournaments import Tournament, from_arcs, realize
 
 
 def brute_sequences(n):
@@ -96,7 +97,7 @@ class TestEnumerateTournaments:
         assert sum(1 for _ in enumerate_tournaments(n)) == count
 
     def test_n3_cycle_split(self):
-        cyclic = sum(1 for t in enumerate_tournaments(3) if count_3cycles(t) == 1)
+        cyclic = sum(1 for t in enumerate_tournaments(3) if three_cycles(t) == 1)
         assert cyclic == 2
 
     def test_each_exactly_once(self):
@@ -156,7 +157,7 @@ class TestStats:
     @pytest.mark.parametrize("n", range(1, 11))
     def test_max_c_is_the_most_3_cycles_counted_on_arcs(self, n):
         # the arc count of each realization, not the score formula of c_value
-        most = max(count_3cycles(realize(s)) for s in enumerate_landau_sequences(n))
+        most = max(three_cycles(realize(s)) for s in enumerate_landau_sequences(n))
         assert stats(n).max_c == most
 
     def test_n12_pin(self):
