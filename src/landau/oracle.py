@@ -3,24 +3,23 @@
 Exhaustively enumerates all valid score sequences for small n and all
 labeled tournaments for very small n, and computes reachability from the
 arcs alone, so every claim the fast algorithms make can be certified
-against an independent search.
+against an independent search.  ``stats`` aggregates over the same
+branching as the sequence enumeration without listing it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import combinations
 from math import comb
-from typing import TYPE_CHECKING, Iterator, List, Optional
+from typing import TYPE_CHECKING, Iterator, List, Optional, Tuple
 
 from .sequences import (
     LandauSequence,
     ScoreVector,
     _int_scores,
     _order,
-    c_value,
-    distance,
     regular_sequence,
 )
 from .tournaments import Tournament, _matrix
@@ -36,6 +35,29 @@ class CapExceededError(Exception):
     """Requested order is past the practical enumeration limit."""
 
 
+def _values(k: int, cap: int, rest: int) -> range:
+    """The values position k takes, ascending, in the enumeration's branching.
+
+    Position k (1-based) is at most cap, the value placed at k+1, and
+    positions 1..k must sum to rest, where C(k,2) <= rest <= k*cap.  It
+    takes each x from ceil(rest/k), so the k-1 earlier positions, each at
+    most x, can still reach rest - x, up to min(cap, rest - C(k-1,2)), so
+    their sum stays at or above C(k-1,2).  Both bounds then hold at k-1, and
+    the range is never empty (ceil(rest/k) <= cap as rest <= k*cap, and
+    <= rest - C(k-1,2) as rest >= C(k,2)), so every branch ends in a valid
+    sequence; position 1 takes exactly rest.
+    """
+    return range(-(-rest // k), min(cap, rest - comb(k - 1, 2)) + 1)
+
+
+def _sequence_order(n: int) -> int:
+    """``n`` read as an order, within the sequence cap."""
+    n = _order(n)
+    if n > SEQUENCE_CAP:
+        raise CapExceededError(f"n={n} exceeds sequence cap {SEQUENCE_CAP}")
+    return n
+
+
 def enumerate_landau_sequences(n: int) -> List[LandauSequence]:
     """All valid score sequences of length n, ascending in the total order.
 
@@ -44,24 +66,14 @@ def enumerate_landau_sequences(n: int) -> List[LandauSequence]:
     filled from the last one down to the first, each trying its values in
     ascending order, which is ascending order on the reversed tuples.
     """
-    n = _order(n)
-    if n > SEQUENCE_CAP:
-        raise CapExceededError(f"n={n} exceeds sequence cap {SEQUENCE_CAP}")
+    n = _sequence_order(n)
     found: List[tuple] = []
 
     def fill(k: int, cap: int, rest: int, suffix: tuple) -> None:
-        # Position k (1-based) is at most cap, the value placed at k+1, and
-        # positions 1..k must sum to rest, where C(k,2) <= rest <= k*cap.  It
-        # takes each x from ceil(rest/k), so the k-1 earlier positions, each
-        # at most x, can still reach rest - x, up to min(cap, rest - C(k-1,2)),
-        # so their sum stays at or above C(k-1,2).  Both bounds then hold at
-        # k-1, and the range is never empty (ceil(rest/k) <= cap as rest <=
-        # k*cap, and <= rest - C(k-1,2) as rest >= C(k,2)), so every branch
-        # ends in a valid sequence; position 1 takes exactly rest.
         if k == 1:
             found.append((rest,) + suffix)
             return
-        for x in range(-(-rest // k), min(cap, rest - comb(k - 1, 2)) + 1):
+        for x in _values(k, cap, rest):
             fill(k - 1, x, rest - x, (x,) + suffix)
 
     fill(n, n - 1, comb(n, 2), ())
@@ -147,20 +159,43 @@ class EnumerationStats:
 
 
 def stats(n: int) -> EnumerationStats:
-    """Enumerate order n and aggregate trace lengths and 3-cycle counts.
+    """Aggregate trace lengths and 3-cycle counts over the sequences of order n.
 
-    The longest down trace is read off the largest d(R_n, S)/2, its length by
-    the identity the tests certify against walked traces.
+    No sequence is listed.  One memoized recursion follows the enumeration's
+    branching (``_values``) over its states (k, cap, rest), at most
+    n * n * (C(n,2) + 1) of them, each trying at most n values, and returns
+    for positions 1..k the number of completions, the largest sum of
+    |x_i - r_i| against r = R_n and the smallest sum of C(x_i, 2).  Both sums
+    split by position, so the largest d(R_n, S) and the largest
+    c(S) = C(n,3) - sum C(s_i, 2) over the order are read off the start
+    state.  The longest down trace is the largest d(R_n, S)/2, its length by
+    the identity the tests certify against walked traces.  Only
+    ``realizable_count``, within the tournament cap, lists the sequences.
     """
-    seqs = enumerate_landau_sequences(n)
-    r = regular_sequence(n)
+    n = _sequence_order(n)
+    r = regular_sequence(n).scores
+
+    @cache
+    def branch(k: int, cap: int, rest: int) -> Tuple[int, int, int]:
+        if k == 1:
+            return 1, abs(rest - r[0]), comb(rest, 2)
+        subs = [(x, *branch(k - 1, x, rest - x)) for x in _values(k, cap, rest)]
+        return (
+            sum(c for _, c, _, _ in subs),
+            max(d + abs(x - r[k - 1]) for x, _, d, _ in subs),
+            min(q + comb(x, 2) for x, _, _, q in subs),
+        )
+
+    count, far, fewest = branch(n, n - 1, comb(n, 2))
     realizable = None
     if n <= TOURNAMENT_CAP:
-        realizable = sum(1 for s in seqs if realizable_by_brute_force(s))
+        realizable = sum(
+            map(realizable_by_brute_force, enumerate_landau_sequences(n))
+        )
     return EnumerationStats(
         n=n,
-        sequence_count=len(seqs),
+        sequence_count=count,
         realizable_count=realizable,
-        max_trace_length=max(distance(s, r) for s in seqs) // 2,
-        max_c=max(c_value(s) for s in seqs),
+        max_trace_length=far // 2,
+        max_c=comb(n, 3) - fewest,
     )

@@ -228,15 +228,18 @@ class Order(enum.IntEnum):
     GREATER = 1
 
 
-def compare_order(a: LandauSequence, b: LandauSequence) -> Order:
+def compare_order(a: ScoreVector, b: ScoreVector) -> Order:
     """Compare two sequences in the total order.
 
     Coordinates are scanned from the last position downward; the first
-    position where the sequences differ decides.
+    position where the sequences differ decides.  A :class:`LandauSequence`
+    is read by its scores, any other vector by the score rule (``TypeError``
+    for a bool or a non-integer entry).
     """
-    if len(a) != len(b):
+    ta, tb = _scores(a), _scores(b)
+    if len(ta) != len(tb):
         raise ValueError("sequences must have equal length")
-    ra, rb = tuple(a)[::-1], tuple(b)[::-1]
+    ra, rb = ta[::-1], tb[::-1]
     return Order((ra > rb) - (ra < rb))
 
 
@@ -542,7 +545,11 @@ def down_jump_step(s: LandauSequence) -> JumpStep:
 
 
 def down_trace(s: LandauSequence) -> JumpTrace:
-    """Iterate down jumps until the regular sequence; d(s, R)/2 steps."""
+    """Iterate down jumps until the regular sequence; d(s, R)/2 steps.
+
+    Unlike ``landau trace`` the walk has no cap; the trace holds 8 bytes a
+    step.
+    """
     return _trace(JumpAlgorithm.DOWN, s)
 
 
@@ -559,7 +566,11 @@ def gr_down_step(u: LandauSequence, target: LandauSequence) -> JumpStep:
 
 
 def gr_down_trace(target: LandauSequence) -> JumpTrace:
-    """Jump down from the transitive sequence to ``target``; d(Tr, target)/2 steps."""
+    """Jump down from the transitive sequence to ``target``; d(Tr, target)/2 steps.
+
+    Unlike ``landau trace`` the walk has no cap; the trace holds 8 bytes a
+    step.
+    """
     return _trace(JumpAlgorithm.GR_DOWN, target)
 
 
@@ -574,7 +585,12 @@ def up_step(s: LandauSequence) -> JumpStep:
 
 
 def up_trace(s: LandauSequence) -> JumpTrace:
-    """Iterate up jumps until the transitive sequence; c_value(s) steps."""
+    """Iterate up jumps until the transitive sequence; c_value(s) steps.
+
+    Unlike ``landau trace`` the walk has no cap; the trace holds 8 bytes a
+    step, so ``up_trace(regular_sequence(1001))``, with c = 41,791,750, would
+    hold about 334 MB.
+    """
     return _trace(JumpAlgorithm.GR_UP, s)
 
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import combinations, combinations_with_replacement
 from math import comb
 
@@ -16,11 +17,14 @@ from landau.oracle import (
 )
 from landau.sequences import (
     Order,
+    c_value,
     compare_order,
+    distance,
     down_trace,
     first_violation,
     max_c_value,
     max_down_jumps,
+    regular_sequence,
 )
 from landau.tournaments import Tournament, from_arcs, realize
 
@@ -144,7 +148,7 @@ class TestStats:
         assert st.max_trace_length == 0
         assert st.max_c == 0
 
-    @pytest.mark.parametrize("n", range(1, 12))
+    @pytest.mark.parametrize("n", range(1, 13))
     def test_max_trace_length_is_the_longest_down_trace(self, n):
         longest = max(len(down_trace(s)) for s in enumerate_landau_sequences(n))
         assert stats(n).max_trace_length == longest
@@ -162,6 +166,27 @@ class TestStats:
 
     def test_n12_pin(self):
         assert stats(12) == EnumerationStats(12, 14805, None, 15, 70)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_matches_aggregates_over_the_listed_sequences(self, n):
+        # the reference lists every sequence and reads each one's distance
+        # and c value; stats(n) aggregates over the branching without them
+        seqs = enumerate_landau_sequences(n)
+        r = regular_sequence(n)
+        st = stats(n)
+        assert st.sequence_count == len(seqs)
+        assert st.max_trace_length == max(distance(s, r) for s in seqs) // 2
+        assert st.max_c == max(c_value(s) for s in seqs)
+
+    def test_n12_lists_no_sequences(self):
+        # listing the 14,805 sequences peaks at about 2.85 MB
+        tracemalloc.start()
+        try:
+            stats(12)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024
 
 
 class TestReachability:

@@ -110,6 +110,8 @@ class TestScoreInputTypes:
             realizable_by_brute_force,
             pytest.param(lambda v: distance(v, (0, 1)), id="distance-left"),
             pytest.param(lambda v: distance((0, 1), v), id="distance-right"),
+            pytest.param(lambda v: compare_order(v, (0, 1)), id="compare_order-left"),
+            pytest.param(lambda v: compare_order((0, 1), v), id="compare_order-right"),
         ],
     )
     def test_non_integer_entries_raise_type_error(self, check, scores):
