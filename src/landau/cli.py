@@ -3,7 +3,8 @@
 Subcommands: validate, realize, trace, enumerate, compare.  Sequences are
 given as a comma- or whitespace-separated literal argument (one that starts
 with a minus sign, such as ``-1,1,3``, is a literal if it parses as one, and
-an unknown option otherwise), or one per line via --file for batch runs.
+an unknown option otherwise), or one per line via --file for batch runs
+(UTF-8 text; a leading byte-order mark is skipped).
 Results go to stdout, diagnostics to stderr.  Exit codes: 0 success, 1
 domain failure (invalid sequence, a cap exceeded: ``enumerate`` above its
 order limit, ``realize`` on more than ``REALIZE_CAP`` scores or more than
@@ -22,7 +23,7 @@ import json
 import sys
 from dataclasses import asdict
 from itertools import chain, compress
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, NoReturn, Optional, Sequence, Tuple
 
 import click
 
@@ -77,38 +78,44 @@ def _literal(text: str) -> Optional[Tuple[int, ...]]:
         return None
 
 
-def _parse_literal(text: str) -> Tuple[int, ...]:
-    scores = _literal(text)
-    if not scores:
-        what = "empty" if scores == () else "cannot parse"
-        click.echo(f"error: {what} sequence literal {text!r}", err=True)
-        sys.exit(2)
-    return scores
+def _fail(message: str, code: int = 1) -> NoReturn:
+    """Write ``message`` to stderr and exit with ``code``."""
+    click.echo(message, err=True)
+    sys.exit(code)
 
 
-def _gather_literals(sequence, file_) -> List[str]:
+def _inputs(sequence, file_) -> Iterator[Tuple[int, ...]]:
+    """The scores of the literal, or of each non-blank line of the file.
+
+    The file is read, and its errors reported, before the first literal is
+    parsed; a literal that does not parse exits 2 when it is reached.
+    """
     if (sequence is None) == (file_ is None):
-        click.echo("error: give a sequence literal or --file, not both", err=True)
-        sys.exit(2)
-    if sequence is not None:
-        return [sequence]
-    try:
-        with open(file_, encoding="utf-8") as fh:
-            literals = [line.strip() for line in fh if line.strip()]
-    except UnicodeDecodeError as exc:
-        click.echo(f"error: {file_} is not UTF-8 text: {exc}", err=True)
-        sys.exit(2)
-    if not literals:
-        click.echo(f"error: no sequences in {file_}", err=True)
-        sys.exit(2)
-    return literals
+        _fail("error: give a sequence literal or --file, not both", 2)
+    literals = [sequence]
+    if file_ is not None:
+        try:
+            with open(file_, encoding="utf-8") as fh:
+                # a byte-order mark is not part of the first literal; the
+                # utf-8-sig codec would also take a cut mark (b"\xef") as text
+                text = fh.read().removeprefix("\ufeff")
+        except UnicodeDecodeError as exc:
+            _fail(f"error: {file_} is not UTF-8 text: {exc}", 2)
+        literals = [line.strip() for line in text.split("\n") if line.strip()]
+        if not literals:
+            _fail(f"error: no sequences in {file_}", 2)
+    for literal in literals:
+        scores = _literal(literal)
+        if not scores:
+            what = "empty" if scores == () else "cannot parse"
+            _fail(f"error: {what} sequence literal {literal!r}", 2)
+        yield scores
 
 
 def _require_valid(raw: Tuple[int, ...]) -> LandauSequence:
     result = validate_landau(raw)
     if not isinstance(result, LandauSequence):
-        click.echo(f"invalid sequence: {result.message}", err=True)
-        sys.exit(1)
+        _fail(f"invalid sequence: {result.message}")
     return result
 
 
@@ -149,7 +156,10 @@ def main():
     """Validate, realize, and trace tournament score sequences."""
 
 
-@main.command(cls=_LiteralCommand)
+main.command_class = _LiteralCommand
+
+
+@main.command()
 @click.argument("sequence", required=False)
 @click.option("--file", "file_", type=click.Path(exists=True, dir_okay=False))
 @click.option("--strong", is_flag=True, help="Also require strict prefix sums.")
@@ -157,8 +167,7 @@ def main():
 def validate(sequence, file_, strong, fmt):
     """Check Landau's conditions (and strongness with --strong)."""
     failed = False
-    for literal in _gather_literals(sequence, file_):
-        raw = _parse_literal(literal)
+    for raw in _inputs(sequence, file_):
         result = validate_landau(raw)
         message = None
         if not isinstance(result, LandauSequence):
@@ -234,35 +243,29 @@ _RENDERERS = {
 TOURNAMENT_FORMATS = tuple(_RENDERERS)
 
 
-@main.command(cls=_LiteralCommand)
+@main.command()
 @click.argument("sequence", required=False)
 @click.option("--file", "file_", type=click.Path(exists=True, dir_okay=False))
 @click.option("--format", "fmt", type=click.Choice(TOURNAMENT_FORMATS), default="text")
 def realize(sequence, file_, fmt):
     """Construct a tournament realizing the given score sequence."""
-    for literal in _gather_literals(sequence, file_):
-        raw = _parse_literal(literal)
+    for raw in _inputs(sequence, file_):
         if len(raw) > REALIZE_CAP:
-            click.echo(
+            _fail(
                 f"error: sequence of length {len(raw)} exceeds the realize cap "
-                f"of {REALIZE_CAP}",
-                err=True,
+                f"of {REALIZE_CAP}"
             )
-            sys.exit(1)
         s = _require_valid(raw)
         jumps = _walk_lengths(s)["down"]
         if jumps > REALIZE_JUMP_CAP:
-            click.echo(
+            _fail(
                 f"error: sequence needs {jumps} jumps, over the realize jump cap "
-                f"of {REALIZE_JUMP_CAP}",
-                err=True,
+                f"of {REALIZE_JUMP_CAP}"
             )
-            sys.exit(1)
         t = realize_tournament(s)
         # O(n) check before any output: vertex i must carry score s_i
         if t._popcounts() != list(s.scores):
-            click.echo("error: realized tournament does not have the given scores", err=True)
-            sys.exit(1)
+            _fail("error: realized tournament does not have the given scores")
         sys.stdout.writelines(_RENDERERS[fmt](t))
         sys.stdout.flush()  # ahead of a later literal's error on stderr
 
@@ -288,7 +291,7 @@ def _trace_json(
     yield "]}\n"
 
 
-@main.command(cls=_LiteralCommand)
+@main.command()
 @click.argument("sequence", required=False)
 @click.option("--file", "file_", type=click.Path(exists=True, dir_okay=False))
 @click.option(
@@ -302,16 +305,13 @@ def _trace_json(
 def trace(sequence, file_, algorithm, fmt):
     """Print the jump trace of one of the three algorithms."""
     render = _trace_json if fmt == "json" else _trace_text
-    for literal in _gather_literals(sequence, file_):
-        s = _require_valid(_parse_literal(literal))
+    for s in map(_require_valid, _inputs(sequence, file_)):
         steps = _walk_lengths(s)[algorithm.replace("-", "_")]
         if steps * s.n > TRACE_CAP:
-            click.echo(
+            _fail(
                 f"error: trace needs {steps} steps of {s.n} scores, over the "
-                f"trace cap of {TRACE_CAP} scores",
-                err=True,
+                f"trace cap of {TRACE_CAP} scores"
             )
-            sys.exit(1)
         jump = JumpAlgorithm(algorithm)
         walk, start, end = _walk_plan(jump, s)
         # each step is written as the walk makes it, replayed on its own list
@@ -321,7 +321,7 @@ def trace(sequence, file_, algorithm, fmt):
         sys.stdout.flush()
 
 
-@main.command("enumerate", cls=_LiteralCommand)
+@main.command("enumerate")
 @click.argument("n", type=int)
 @click.option("--stats", "show_stats", is_flag=True)
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
@@ -344,18 +344,16 @@ def enumerate_sequences(n, show_stats, fmt):
                 sys.stdout.writelines(f"{s}\n" for s in seqs)
                 sys.stdout.flush()
     except (oracle.CapExceededError, ValueError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
+        _fail(f"error: {exc}")
 
 
-@main.command(cls=_LiteralCommand)
+@main.command()
 @click.argument("sequence", required=False)
 @click.option("--file", "file_", type=click.Path(exists=True, dir_okay=False))
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
 def compare(sequence, file_, fmt):
     """Jump counts of all three algorithms, with distances and 3-cycle count."""
-    for literal in _gather_literals(sequence, file_):
-        s = _require_valid(_parse_literal(literal))
+    for s in map(_require_valid, _inputs(sequence, file_)):
         w = _walk_lengths(s)
         if fmt == "json":
             click.echo(json.dumps(dict(sequence=list(s.scores), **w)))

@@ -471,7 +471,12 @@ def realize_stages(s: LandauSequence) -> List[Tournament]:
 
     The returned list runs from the starting regular/nearly-regular
     tournament down to the realization of ``s``; every entry except possibly
-    the last is strong.  Each stage is a copy of the replay's rows.
+    the last is strong.  Each stage is a tuple of the replay's rows, which
+    shares the row ints a reversal left alone, so it costs n references
+    plus the rows its path rewrote: about n^3 bytes in all at Tr_n, whose
+    replay takes n^2/8 jumps.  Measured tracemalloc peaks: Tr_150, 2,776
+    stages, 4.1 MB; Tr_300, 11,176 stages, 30.7 MB.  Tr_1000 would take
+    about 1 GB (arithmetic, not run).
     """
     return [Tournament._trusted(rows) for rows in _replay(s)]
 

@@ -286,7 +286,23 @@ class TestRealize:
             result = invoke(runner, "realize", "1,1,1", "--format", fmt)
         assert result.exit_code == 1
         assert result.stdout == ""
-        assert result.stderr.startswith("error: realized tournament")
+        assert result.stderr == "error: realized tournament does not have the given scores\n"
+
+    # sha256 of the near-transitive (1, 1, 2, ..., 397, 398, 398) realized in
+    # each format, pinned when the rows were decoded bit by bit; CI checks
+    # the same bytes from a fresh process
+    NEAR_TRANSITIVE_400_DIGESTS = {
+        "arclist": "bb774456b7b9e8f637ea49f46dadec1fa7bcea9934d5965e51248edaf0b2f7a8",
+        "matrix": "89e1a00e941050d37c41eccbe8654f7357bac12268ad9edbff75be6772ecd14b",
+        "dot": "360b321207189f3e9a5b178b8dc4b37b1eaa69844d8828dcf15c5002908fe84e",
+    }
+
+    @pytest.mark.parametrize("fmt", list(NEAR_TRANSITIVE_400_DIGESTS))
+    def test_near_transitive_400_digest(self, runner, fmt):
+        literal = ",".join(map(str, [1, 1, *range(2, 398), 398, 398]))
+        result = run(runner, "realize", "--format", fmt, literal)
+        digest = hashlib.sha256(result.output.encode()).hexdigest()
+        assert digest == self.NEAR_TRANSITIVE_400_DIGESTS[fmt]
 
     def test_dot_format(self, runner):
         result = invoke(runner, "realize", "0,1,2", "--format", "dot")
@@ -458,6 +474,22 @@ class TestTrace:
         )
         walk.assert_not_called()
 
+    # sha256 of the gr-up trace of R_101, whose cascades the up walk yields
+    # as whole chunks; CI checks the same bytes from a fresh process
+    R101_DIGESTS = {
+        "json": "4f8c3c6d26ae3a39be101da7e1273ab415e2e1bfba628484e12f307a965af98b",
+        "text": "dabe2aa788e55e89ce04f78f2150c8c89caa0a2bd32f57fca702ce76a1fa3065",
+    }
+
+    @pytest.mark.parametrize("fmt", list(R101_DIGESTS))
+    def test_gr_up_r101_digest(self, runner, fmt):
+        literal = ",".join(["50"] * 101)
+        result = run(runner, "trace", "--algorithm", "gr-up", "--format", fmt, literal)
+        digest = hashlib.sha256(result.output.encode()).hexdigest()
+        assert digest == self.R101_DIGESTS[fmt]
+        if fmt == "text":
+            assert result.output.count("\n") == 42927
+
 
 class TestEnumerate:
     def test_n4_listing(self, runner):
@@ -500,6 +532,17 @@ class TestEnumerate:
             '{"n": 12, "sequence_count": 14805, "realizable_count": null, '
             '"max_trace_length": 15, "max_c": 70}\n'
         )
+
+    def test_stats_1_to_12_digest(self, runner):
+        # the stats of every order, text then json, pinned while stats listed
+        # every sequence; CI checks the same bytes from a fresh process
+        output = "".join(
+            run(runner, "enumerate", str(n), "--stats", *extra).output
+            for n in range(1, 13)
+            for extra in [(), ("--format", "json")]
+        )
+        digest = hashlib.sha256(output.encode()).hexdigest()
+        assert digest == "d4b83bd1e9017909177b551cd527dca2a40c89b7da2fa66c4cc410b1b97aefa6"
 
 
 class TestCompare:
@@ -569,6 +612,135 @@ class TestFileInput:
         assert result.exit_code == 2
         assert result.exception is None or isinstance(result.exception, SystemExit)
         assert "error:" in result.output and "not UTF-8" in result.output
+
+    @pytest.mark.parametrize("command", ["validate", "realize", "trace", "compare"])
+    def test_byte_order_mark_is_not_part_of_the_first_literal(
+        self, runner, tmp_path, command
+    ):
+        text = "1,1,1\n0,1,2\n"
+        plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+        expected = invoke(runner, command, "--file", str(plain))
+        result = invoke(runner, command, "--file", str(marked))
+        assert expected.exit_code == 0 and expected.stdout
+        assert (result.exit_code, result.stdout) == (expected.exit_code, expected.stdout)
+        assert result.stderr == ""
+
+    @pytest.mark.parametrize(
+        "data, reason",
+        [
+            (b"\xef", "can't decode byte 0xef in position 0: unexpected end of data"),
+            (b"\xef\xbb", "can't decode bytes in position 0-1: unexpected end of data"),
+        ],
+    )
+    def test_a_cut_byte_order_mark_is_not_utf8(self, runner, tmp_path, data, reason):
+        # the first bytes of a mark, with nothing after them, are not text
+        path = tmp_path / "seqs.txt"
+        path.write_bytes(data)
+        result = invoke(runner, "validate", "--file", str(path))
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == f"error: {path} is not UTF-8 text: 'utf-8' codec {reason}\n"
+
+
+class TestFailureOutput:
+    """Every failure's exact stderr and exit code, with nothing on stdout."""
+
+    #: Failures that every sequence command reports the same way: arguments,
+    #: exit code and stderr, where a name in FILES stands for that file.
+    INPUT_FAILURES = {
+        "both": (
+            ("1,1,1", "--file", "ok"), 2, "error: give a sequence literal or --file, not both"
+        ),
+        "neither": ((), 2, "error: give a sequence literal or --file, not both"),
+        "not-utf8": (
+            ("--file", "bad"),
+            2,
+            "error: {bad} is not UTF-8 text: 'utf-8' codec can't decode byte 0xff "
+            "in position 0: invalid start byte",
+        ),
+        "empty-file": (("--file", "empty"), 2, "error: no sequences in {empty}"),
+        "empty-literal": ((" , ",), 2, "error: empty sequence literal ' , '"),
+        "unparsable": (("1,x",), 2, "error: cannot parse sequence literal '1,x'"),
+    }
+    FILES = {"ok": b"1,1,1\n", "bad": b"\xff\xfe1,2\n", "empty": b"\n \n"}
+
+    @pytest.mark.parametrize("case", list(INPUT_FAILURES))
+    @pytest.mark.parametrize("command", ["validate", "realize", "trace", "compare"])
+    def test_input_failure(self, runner, tmp_path, command, case):
+        args, code, message = self.INPUT_FAILURES[case]
+        paths = {name: str(tmp_path / name) for name in self.FILES}
+        for name, data in self.FILES.items():
+            Path(paths[name]).write_bytes(data)
+        result = invoke(runner, command, *(paths.get(a, a) for a in args))
+        assert result.exit_code == code
+        assert result.stdout == ""
+        assert result.stderr == message.format(**paths) + "\n"
+
+    #: Failures of one command: arguments, exit code and stderr.
+    COMMAND_FAILURES = {
+        "realize-invalid": (
+            ("realize", "0,0,3"), 1, "invalid sequence: prefix sum 0 < 1 at k=2"
+        ),
+        "trace-invalid": (
+            ("trace", "0,0,3"), 1, "invalid sequence: prefix sum 0 < 1 at k=2"
+        ),
+        "compare-invalid": (
+            ("compare", "0,0,3"), 1, "invalid sequence: prefix sum 0 < 1 at k=2"
+        ),
+        "realize-length-cap": (
+            ("realize", ",".join(["0"] * (REALIZE_CAP + 1))),
+            1,
+            f"error: sequence of length {REALIZE_CAP + 1} exceeds the realize cap "
+            f"of {REALIZE_CAP}",
+        ),
+        "realize-jump-cap": (
+            ("realize", ",".join(map(str, range(1500)))),
+            1,
+            "error: sequence needs 280875 jumps, over the realize jump cap of "
+            f"{REALIZE_JUMP_CAP}",
+        ),
+        "trace-cap": (
+            ("trace", ",".join(map(str, range(1000)))),
+            1,
+            "error: trace needs 124750 steps of 1000 scores, over the trace cap of "
+            f"{TRACE_CAP} scores",
+        ),
+        "enumerate-13": (("enumerate", "13"), 1, "error: n=13 exceeds sequence cap 12"),
+        "enumerate-0": (("enumerate", "0"), 1, "error: n must be >= 1"),
+    }
+
+    @pytest.mark.parametrize("case", list(COMMAND_FAILURES))
+    def test_command_failure(self, runner, case):
+        args, code, message = self.COMMAND_FAILURES[case]
+        result = invoke(runner, *args)
+        assert result.exit_code == code
+        assert result.stdout == ""
+        assert result.stderr == message + "\n"
+
+
+class TestHelp:
+    # sha256 of each --help at 80 columns, taken under click 8.4.0
+    DIGESTS = {
+        (): "a7253ecaadaf0721f704a73531b16e84bb11e29bcac8191f692427874600dcf3",
+        ("validate",): "05aa3d57159ccf94c4b91fa7583708d06c43b43e616b143d5a43bf297abfd789",
+        ("realize",): "68fbc41aa0d6c101a371469de01638f501e8d7abcfb7a8e7db77b0f1d7ecaf23",
+        ("trace",): "637b3ff844800baa5972acc876589c96682f787388f0b0fe51768688728eda16",
+        ("enumerate",): "90a6e593b6f07b9c19e56ea9770de59b7bc3e28ec20d753599c6e89db7c98177",
+        ("compare",): "b2204a1b459ac044bb12a5b5d899bb4ec374405ca3ab46e53f77ef7b3bd7d811",
+    }
+
+    @pytest.mark.parametrize("command", list(DIGESTS), ids=lambda c: c[0] if c else "landau")
+    def test_help_digest(self, runner, command):
+        result = runner.invoke(
+            main, [*command, "--help"], prog_name="landau", env={"COLUMNS": "80"}
+        )
+        assert result.exit_code == 0
+        assert result.stderr == ""
+        digest = hashlib.sha256(result.output.encode()).hexdigest()
+        assert digest == self.DIGESTS[command]
 
 
 def _ints_literal(ints) -> str:
