@@ -414,86 +414,173 @@ class JumpTrace:
 # in place, until the list equals ``target``, and yields flat chunks of the
 # 1-based positions low, high, low, high, ... of its steps.  After each yield
 # the list is the state after every position yielded so far, and the first
-# chunk is exactly one step, so ``next(walk(...))`` is the first step's
-# (low, high).  The two down walks yield one step per chunk; the up walk
-# yields a whole cascade of steps as one chunk.  A walk ends on reaching the
-# target, not after a precomputed count.  Run ends are found by bisect, and
-# the other scans resume where the previous step left them, so a whole walk's
-# scans cost O(steps + n).
-def _down_walk(a: List[int], target: List[int]) -> Iterator[Tuple[int, int]]:
-    while a != target:
-        p = bisect_right(a, a[0])
-        q = bisect_left(a, a[-1]) + 1
-        a[p - 1] += 1
-        a[q - 1] -= 1
-        yield p, q
+# chunk is exactly one step, found in O(n), so ``next(walk(...))`` is the
+# first step's (low, high).  Later chunks are runs of steps built by C-level
+# ``range`` and ``array`` operations: the two down walks hand over the rest of
+# the walk as one array, in closed form, and the up walk one array per run of
+# big steps at the same k.  No walk stops after a precomputed count: each
+# closed form is read off the target's values, and ``_interleaved`` raises if
+# the raises and the lowers it pairs differ in number.
+def _interleaved(lows: array, highs: array) -> array:
+    """The flat positions lows[0], highs[0], lows[1], highs[1], ... of a
+    walk's raised and lowered positions."""
+    if len(lows) != len(highs):
+        raise ValueError(
+            f"walk raises {len(lows)} times but lowers {len(highs)} times"
+        )
+    pairs = lows * 2
+    pairs[0::2] = lows
+    pairs[1::2] = highs
+    return pairs
 
 
-def _gr_down_walk(a: List[int], target: List[int]) -> Iterator[Tuple[int, int]]:
-    # alpha is the first position short of the target and gamma the first
-    # above it (0-based here).  A step raises beta to at most target[beta],
-    # since a[beta] = a[alpha] < target[alpha] <= target[beta], and lowers
-    # gamma to at least target[gamma].  So no position becomes short of the
-    # target or above it: both first positions only move right, and each
-    # scan resumes from its cursor.
+# The down walk raises the last position of the minimum's run and lowers the
+# first position of the maximum's run.  Before the end the maximum exceeds the
+# minimum by at least 2 (a sorted sequence with max - min <= 1 and the total
+# C(n,2) is R_n), so no position is ever both raised and lowered: a raised
+# position joins the run above it and a lowered one the run below it, and the
+# runs' ends in the list as it stands give every later step (``_down_rest``).
+def _down_walk(a: List[int], target: List[int]) -> Iterator[Sequence[int]]:
+    if a == target:
+        return
+    p = bisect_right(a, a[0])
+    q = bisect_left(a, a[-1]) + 1
+    a[p - 1] += 1
+    a[q - 1] -= 1
+    yield p, q
+    rest = _down_rest(a, target)
+    if rest:
+        a[:] = target
+        yield rest
+
+
+def _down_rest(a: List[int], target: List[int]) -> array:
+    """The down walk's positions from ``a`` to ``target``, in closed form.
+
+    The minimum v runs from a[0] up to target[-1] - 1 and raises the
+    positions bisect_right(a, v) down to bisect_right(target, v) + 1; the
+    maximum w runs from a[-1] down to target[0] + 1 and lowers the positions
+    bisect_left(a, w) + 1 up to bisect_left(target, w).
+    """
+    lows, highs = array("I"), array("I")
+    for v in range(a[0], target[-1]):
+        lows.extend(range(bisect_right(a, v), bisect_right(target, v), -1))
+    for w in range(a[-1], target[0], -1):
+        highs.extend(range(bisect_left(a, w) + 1, bisect_left(target, w) + 1))
+    return _interleaved(lows, highs)
+
+
+# alpha is the first position short of the target and gamma the first above
+# it (0-based here).  A step raises beta to at most target[beta], since
+# a[beta] = a[alpha] < target[alpha] <= target[beta], and lowers gamma to at
+# least target[gamma].  So no position becomes short of the target or above
+# it, and the lowers never move bisect_right(a, a[alpha]): a position before
+# alpha holds at most a[alpha], and an excess one past it more than
+# target[alpha] > a[alpha], before and after it is lowered.  So the raises
+# follow from the list without the lowers, and the lowers from the excess of
+# each position (``_gr_down_rest``).
+def _gr_down_walk(a: List[int], target: List[int]) -> Iterator[Sequence[int]]:
+    if a == target:
+        return
     alpha = gamma = 0
-    while a != target:
-        while a[alpha] >= target[alpha]:
+    while a[alpha] >= target[alpha]:
+        alpha += 1
+    while a[gamma] <= target[gamma]:
+        gamma += 1
+    beta = bisect_right(a, a[alpha])
+    a[beta - 1] += 1
+    a[gamma] -= 1
+    yield beta, gamma + 1
+    rest = _gr_down_rest(a, target, alpha, gamma)
+    if rest:
+        a[:] = target
+        yield rest
+
+
+def _gr_down_rest(a: List[int], target: List[int], alpha: int, gamma: int) -> array:
+    """The gr-down walk's positions from ``a`` to ``target``, in closed form,
+    with ``alpha`` and ``gamma`` at most the first short and the first excess
+    position.  ``a`` is left with its short positions at target.
+
+    Each excess position i, in ascending order, is lowered a[i] - target[i]
+    times in a row.  The raises come in blocks: with v = a[alpha] and
+    r = bisect_right(a, v), a block raises the run's positions r, r - 1, ...,
+    alpha + 1 (1-based) to v + 1, and then alpha moves past the positions
+    that are now at target.
+    """
+    n = len(a)
+    highs = array("I")
+    for i in range(gamma, n):
+        highs.extend(repeat(i + 1, a[i] - target[i]))
+    lows = array("I")
+    while True:
+        while alpha < n and a[alpha] >= target[alpha]:
             alpha += 1
-        while a[gamma] <= target[gamma]:
-            gamma += 1
-        beta = bisect_right(a, a[alpha])
-        a[beta - 1] += 1
-        a[gamma] -= 1
-        yield beta, gamma + 1
+        if alpha == n:
+            return _interleaved(lows, highs)
+        v = a[alpha]
+        r = bisect_right(a, v)
+        lows.extend(range(r, alpha, -1))
+        a[alpha:r] = repeat(v + 1, r - alpha)
 
 
-# The up walk does Python work only on its "big" steps.  Let k be the first
-# position of a repeated value v, so positions 1..k are strictly increasing up
-# to v, and let j be the smallest position such that positions j..k hold
-# consecutive values, v-(k-j) .. v.  The big step lowers position k to v-1 and
-# raises high, the last position of v, and is yielded alone.  If j < k,
-# position k-1 holds v-1, so k-1 is now the first position of a repeated
-# value, whose run is k-1..k (position k+1 holds at least v): the next step is
-# (k-1, k), which gives position k back its v and lowers position k-1 to v-2.
-# This repeats down to (j, j+1), and there it stops: position j-1 holds less
-# than a[j]-1, so the prefix is strictly increasing again.  That cascade of
-# k-j steps lowers position j by one and gives position k back its v;
-# positions j+1..k-1 end as they began.  Every state inside it repeats a
-# score, so none is the target Tr_n.  The walk applies the net change and
-# yields the cascade as one slice of ``cascades``, the pairs (i, i+1) for
-# i = n-1 down to 1.
+# The up walk does Python work only once per run of big steps.  Let k be the
+# first position of a repeated value v, so positions 1..k are strictly
+# increasing up to v, and let j be the smallest position such that positions
+# j..k hold consecutive values, v-(k-j) .. v.  The big step lowers position k
+# to v-1 and raises h, the last position of v.  If j < k, position k-1 holds
+# v-1, so k-1 is now the first position of a repeated value, whose run is
+# k-1..k (position k+1 holds at least v): the next step is (k-1, k), which
+# gives position k back its v and lowers position k-1 to v-2.  This repeats
+# down to (j, j+1), and there it stops: position j-1 holds less than a[j]-1,
+# so the prefix is strictly increasing again.  That cascade of k-j steps
+# lowers position j by one and gives position k back its v; positions
+# j+1..k-1 end as they began.  The cascade is a slice of ``cascades``, the
+# pairs (i, i+1) for i = n-1 down to 1.
 #
-# Positions 1..k now strictly increase to v again, so the search for the next
-# k resumes at k.  If k is still the first repeated position, its run of
-# consecutive values now starts at j+1, since position j is two below position
-# j+1.  Otherwise k moves right (as it always does after a big step without a
-# cascade, which leaves positions k and k+1 distinct), and j is found by a
-# scan down from the new k; at j = 1 the scan reads a[-1], the largest score,
-# which is never a[0]-1.
+# After a cascade, k is again the first repeated position while the run of v
+# holds two positions or more, and the run of consecutive values now starts
+# at j+1, since position j is two below position j+1.  So the walk makes
+# (k, h), cascade j..k, (k, h-1), cascade j+1..k, and so on, and the run
+# stops at the first big step with no cascade (j has reached k, and position
+# k drops to v-1) or once the run of v is down to one position.  Its net
+# change lowers positions j.. by one and raises positions ..h to v+1, one per
+# big step.  Every state inside the run repeats a score, so none is the
+# target Tr_n.  After it, positions 1..k strictly increase, so the search for
+# the next k resumes at k+1, and j is found by a scan down from the new k; at
+# j = 1 the scan reads a[-1], the largest score, which is never a[0]-1.  The
+# walk's first big step is yielded alone, and the rest of its run after it.
 def _up_walk(a: List[int], target: List[int]) -> Iterator[Sequence[int]]:
     n = len(a)
     cascades = array("I", chain.from_iterable((i, i + 1) for i in range(n - 1, 0, -1)))
-    k, j = 1, 0
+    k, first = 0, True
     while a != target:
-        if a[k - 1] == a[k]:
-            j += 1
-        else:
+        k += 1
+        while a[k - 1] != a[k]:
             k += 1
-            while a[k - 1] != a[k]:
-                k += 1
-            j = k
-            while a[j - 2] == a[j - 1] - 1:
-                j -= 1
-        v = a[k - 1]
-        high = bisect_right(a, v, k)
-        a[k - 1] = v - 1
-        a[high - 1] += 1
-        yield k, high
-        if j < k:
-            a[j - 1] -= 1
-            a[k - 1] = v
-            yield cascades[2 * (n - k) : 2 * (n - j)]
+        j = k
+        while a[j - 2] == a[j - 1] - 1:
+            j -= 1
+        v, lowest = a[k - 1], a[j - 1]
+        h = bisect_right(a, v, k)
+        big = min(k - j, h - k - 1) + 1
+        base = 2 * (n - k)
+        run, start = array("I"), j
+        if first:
+            first = False
+            a[k - 1] = v - 1
+            a[h - 1] = v + 1
+            yield k, h
+            run, start = cascades[base : 2 * (n - j)], j + 1
+        for x in range(start, j + big):
+            run.append(k)
+            run.append(h + j - x)
+            run += cascades[base : 2 * (n - x)]
+        a[k - 1] = v
+        a[j - 1 : j + big - 1] = range(lowest - 1, lowest + big - 1)
+        a[h - big : h] = repeat(v + 1, big)
+        if run:
+            yield run
 
 
 def _walk_plan(
@@ -528,7 +615,9 @@ def _step(
 
 def _trace(algorithm: JumpAlgorithm, s: LandauSequence) -> JumpTrace:
     walk, start, end = _walk_plan(algorithm, s)
-    pairs = array("I", chain.from_iterable(walk(list(start.scores), list(end.scores))))
+    pairs = array("I")
+    for chunk in walk(list(start.scores), list(end.scores)):
+        pairs.extend(chunk)
     return JumpTrace._trusted(start, end, algorithm, pairs)
 
 
@@ -547,8 +636,10 @@ def down_jump_step(s: LandauSequence) -> JumpStep:
 def down_trace(s: LandauSequence) -> JumpTrace:
     """Iterate down jumps until the regular sequence; d(s, R)/2 steps.
 
+    After its first step the walk is read off in closed form: one bisect per
+    value the minimum and the maximum pass, and C-level array work per step.
     Unlike ``landau trace`` the walk has no cap; the trace holds 8 bytes a
-    step.
+    step, and the closed form holds 16 bytes a step while it is built.
     """
     return _trace(JumpAlgorithm.DOWN, s)
 
@@ -568,8 +659,11 @@ def gr_down_step(u: LandauSequence, target: LandauSequence) -> JumpStep:
 def gr_down_trace(target: LandauSequence) -> JumpTrace:
     """Jump down from the transitive sequence to ``target``; d(Tr, target)/2 steps.
 
-    Unlike ``landau trace`` the walk has no cap; the trace holds 8 bytes a
-    step.
+    After its first step the walk is read off in closed form: O(n) Python
+    work, one bisect per block of raised positions, and C-level array work
+    per step.  Unlike ``landau trace`` the walk has no cap; the trace holds
+    8 bytes a step, and the closed form holds 16 bytes a step while it is
+    built.
     """
     return _trace(JumpAlgorithm.GR_DOWN, target)
 
@@ -587,9 +681,11 @@ def up_step(s: LandauSequence) -> JumpStep:
 def up_trace(s: LandauSequence) -> JumpTrace:
     """Iterate up jumps until the transitive sequence; c_value(s) steps.
 
-    Unlike ``landau trace`` the walk has no cap; the trace holds 8 bytes a
-    step, so ``up_trace(regular_sequence(1001))``, with c = 41,791,750, would
-    hold about 334 MB.
+    The walk does Python work once per run of big steps at one position k
+    and once per big step; each big step's cascade of steps is a C-level
+    slice of a table.  Unlike ``landau trace`` the walk has no cap; the
+    trace holds 8 bytes a step, so ``up_trace(regular_sequence(1001))``,
+    with c = 41,791,750, would hold about 334 MB.
     """
     return _trace(JumpAlgorithm.GR_UP, s)
 
@@ -600,7 +696,14 @@ def c_value(s: LandauSequence) -> int:
     Any tournament realizing ``s`` has exactly this many directed 3-cycles,
     and the up-jump algorithm takes exactly this many steps from ``s``.
     """
-    return comb(s.n, 3) - sum(map(comb, s.scores, repeat(2)))
+    return _cyclic_triples(s.scores)
+
+
+def _cyclic_triples(scores: Sequence[int]) -> int:
+    """C(n,3) - sum C(s_i,2) for the n scores of a tournament, in any order
+    (Kendall & Babington Smith, 1940): a transitive triple has exactly one
+    vertex that beats the other two."""
+    return comb(len(scores), 3) - sum(map(comb, scores, repeat(2)))
 
 
 def max_c_value(n: int) -> int:

@@ -19,13 +19,22 @@ from collections import defaultdict
 from dataclasses import dataclass
 from functools import reduce
 from itertools import compress, count
-from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from .sequences import (
     LandauSequence,
+    _cyclic_triples,
     _order,
     _prefix_equalities,
-    c_value,
     down_trace,
     regular_sequence,
     validate_landau,
@@ -360,11 +369,13 @@ def _shortest_path(rows: Sequence[int], src: int, dst: int) -> Optional[List[int
         return [src, dst]
     full = (1 << len(rows)) - 1
     into = full ^ rows[dst] ^ (1 << dst)
-    if out & into:
-        return [src, _lowest(out & into), dst]
+    # each (x & -x).bit_length() - 1 below is the lowest set bit of x
+    mid = out & into
+    if mid:
+        return [src, (mid & -mid).bit_length() - 1, dst]
     if not into:
         return None
-    probe = _lowest(into)
+    probe = (into & -into).bit_length() - 1
     beats_probe = ~rows[probe]
     levels = [1 << src, out]
     seen = levels[0] | out
@@ -374,8 +385,9 @@ def _shortest_path(rows: Sequence[int], src: int, dst: int) -> Optional[List[int
             last = probe
             break
         new = reduce(operator.or_, compress(rows, _flags(level)), 0) & ~seen
-        if new & into:
-            last = _lowest(new & into)
+        hit = new & into
+        if hit:
+            last = (hit & -hit).bit_length() - 1
             break
         levels.append(new)
         seen |= new
@@ -384,7 +396,8 @@ def _shortest_path(rows: Sequence[int], src: int, dst: int) -> Optional[List[int
         return None
     path = [dst, last]
     for prev in reversed(levels):
-        path.append(_lowest(prev & ~rows[path[-1]]))
+        beaten = prev & ~rows[path[-1]]
+        path.append((beaten & -beaten).bit_length() - 1)
     path.reverse()
     return path
 
@@ -422,27 +435,38 @@ def reverse_path(t: Tournament, path: VertexPath) -> Tournament:
     return Tournament._trusted(rows)
 
 
-def _replay(s: LandauSequence) -> Iterator[List[int]]:
+def _replay(
+    s: LandauSequence, search: Optional[Callable] = None
+) -> Iterator[List[int]]:
     """Replay the down-jump walk of ``s`` in reverse on one list of out-sets.
 
     Yields the starting regular/nearly-regular rows (see ``_shortest_path``
     for the layout), then the same list again after each path reversal: for
     a jump with positions (p, q), a shortest path from vertex p-1 to vertex
-    q-1 is reversed, two XORs per arc.  The walk is held as the trace's
-    flat array of positions, 8 bytes a jump, and read from its end.
+    q-1 is reversed, two XORs per arc, through a table of the n one-bit
+    ints.  ``search(rows, src, dst)`` finds the path; it defaults to the
+    module's ``_shortest_path``, looked up at call time.  The walk is held as
+    the trace's flat array of positions, 8 bytes a jump, and read from its
+    end.
     """
+    if search is None:
+        search = _shortest_path
     positions = reversed(down_trace(s)._pairs)
     rows = _regular_rows(s.n)
+    bit = [1 << i for i in range(s.n)]
     yield rows
     for q, p in zip(positions, positions):
-        path = _shortest_path(rows, p - 1, q - 1)
+        path = search(rows, p - 1, q - 1)
         if path is None:
             raise UnreachableError(
                 f"no path from {p - 1} to {q - 1}: intermediate tournament is not strong"
             )
-        for a, b in zip(path, path[1:]):
-            rows[a] ^= 1 << b
-            rows[b] ^= 1 << a
+        vertices = iter(path)
+        a = next(vertices)
+        for b in vertices:
+            rows[a] ^= bit[b]
+            rows[b] ^= bit[a]
+            a = b
         yield rows
 
 
@@ -482,10 +506,10 @@ def realize_stages(s: LandauSequence) -> List[Tournament]:
 
 
 def count_3cycles(t: Tournament) -> int:
-    """Number of cyclic triples, read off the scores in O(n).
+    """Number of cyclic triples, read off the out-degrees in O(n).
 
-    C(n,3) - sum C(s_i,2) (Kendall & Babington Smith, 1940): a transitive
-    triple has exactly one vertex that beats the other two.  The tests
+    C(n,3) - sum C(s_i,2) (Kendall & Babington Smith, 1940), which needs
+    neither sorted scores nor a check of Landau's conditions.  The tests
     check it against ``oracle.three_cycles``, which counts on the arcs.
     """
-    return c_value(score_sequence(t))
+    return _cyclic_triples(t._popcounts())

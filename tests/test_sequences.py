@@ -21,6 +21,8 @@ from landau.sequences import (
     Order,
     ViolationKind,
     ViolationReport,
+    _down_walk,
+    _gr_down_walk,
     _up_walk,
     c_value,
     compare_order,
@@ -655,29 +657,76 @@ class TestResumedScanInvariants:
         _assert_resumed_scans_hold(s)
 
 
+def _assert_chunks_follow_reference(walk, start, end, steps) -> list:
+    """A walk's chunk contract, against the reference chain ``steps`` from
+    ``start`` to ``end``: the walk's list after each yield is the reference
+    state after as many steps as positions yielded so far, the first chunk is
+    one step, and the chunks concatenate to the reference's positions.
+    Returns the chunks as lists of (low, high) pairs."""
+    states = [start.scores] + [step.after.scores for step in steps]
+    expected = [(step.low, step.high) for step in steps]
+    a, done, chunks = list(start.scores), 0, []
+    for i, chunk in enumerate(walk(a, list(end.scores))):
+        flat = list(chunk)
+        assert flat and len(flat) % 2 == 0, (start, end, chunk)
+        pairs = list(zip(flat[0::2], flat[1::2]))
+        assert len(pairs) == 1 or i > 0, (start, end, chunk)
+        assert pairs == expected[done : done + len(pairs)], (start, end, i)
+        done += len(pairs)
+        assert tuple(a) == states[done], (start, end, i)
+        chunks.append(pairs)
+    assert done == len(steps), (start, end)
+    return chunks
+
+
+def _assert_down_chunks_follow_reference(s: LandauSequence) -> None:
+    """The down walk from ``s``: its first step, then the rest in one chunk."""
+    r = regular_sequence(s.n)
+    steps = _reference_chain(_reference_down_jump_step, s, r)
+    assert len(_assert_chunks_follow_reference(_down_walk, s, r, steps)) <= 2
+
+
+def _assert_gr_down_chunks_follow_reference(u, target: LandauSequence) -> None:
+    """The gr-down walk from ``u`` to ``target``: its first step, then the
+    rest in one chunk."""
+    steps = _reference_chain(lambda x: _reference_gr_down_step(x, target), u, target)
+    chunks = _assert_chunks_follow_reference(_gr_down_walk, u, target, steps)
+    assert len(chunks) <= 2
+
+
+def _assert_is_up_run(pairs: list) -> None:
+    """``pairs`` is one run of the up walk: big steps (k, h), (k, h-1), ...
+    at one k, each followed by its cascade (k-1, k), (k-2, k-1), ...,
+    (x, x+1), whose last low x rises by one from each big step to the next;
+    x = k is a big step with no cascade, which can only end the run."""
+    (k, h), i, ends = pairs[0], 0, []
+    while i < len(pairs):
+        assert pairs[i] == (k, h - len(ends)), pairs
+        i, x = i + 1, k
+        while i < len(pairs) and pairs[i] == (x - 1, x):
+            i, x = i + 1, x - 1
+        ends.append(x)
+    assert ends == list(range(ends[0], ends[0] + len(ends))), pairs
+
+
 def _assert_up_chunks_follow_reference(s: LandauSequence) -> None:
-    """The up walk's chunk contract, against the reference chain: the walk's
-    list after each yield is the reference state after as many steps as
-    positions yielded so far, the first chunk is one step, and each later
-    chunk is one step or a cascade (i, i+1), (i-1, i), ... with i falling."""
+    """The up walk's chunk contract, against the reference chain, and its
+    chunk shape: the first chunk is the first big step alone, the next may
+    finish that step's run, and every later chunk is one whole run, at a k
+    above the previous run's."""
     tr = transitive_sequence(s.n)
     steps = _reference_chain(_reference_up_step, s, tr)
-    states = [s.scores] + [step.after.scores for step in steps]
-    expected = [p for step in steps for p in (step.low, step.high)]
-    a, done = list(s.scores), 0
-    for i, chunk in enumerate(_up_walk(a, list(tr.scores))):
-        chunk = list(chunk)
-        size = len(chunk) // 2
-        assert len(chunk) == 2 * size and size >= 1, (s, chunk)
-        assert size == 1 or i > 0, (s, chunk)
-        if size > 1:
-            lows = chunk[0::2]
-            assert lows == list(range(lows[0], lows[0] - size, -1)), (s, chunk)
-            assert chunk[1::2] == [low + 1 for low in lows], (s, chunk)
-        assert chunk == expected[2 * done : 2 * (done + size)], (s, i)
-        done += size
-        assert tuple(a) == states[done], (s, i)
-    assert done == len(steps)
+    chunks = _assert_chunks_follow_reference(_up_walk, s, tr, steps)
+    runs = chunks[:1]
+    for chunk in chunks[1:]:
+        k = runs[-1][0][0]
+        if len(runs) == 1 and len(runs[0]) == 1 and chunk[0] == (k - 1, k):
+            runs[0] += chunk  # the cascade after the first big step
+        else:
+            assert chunk[0][0] > k, (s, chunk)
+            runs.append(chunk)
+    for run in runs:
+        _assert_is_up_run(run)
 
 
 class TestUpWalkChunks:
@@ -694,6 +743,51 @@ class TestUpWalkChunks:
     @pytest.mark.parametrize("n", [100, 101])
     def test_long_cascades_of_the_regular_sequence(self, n):
         _assert_up_chunks_follow_reference(regular_sequence(n))
+
+
+class TestClosedFormWalks:
+    """The down walks' closed forms and the up walk's runs, chunk by chunk
+    against the reference chains, which step one unit at a time and stop on
+    reaching the target."""
+
+    @pytest.mark.parametrize("n", range(1, 12))
+    def test_down_walk_of_every_sequence_up_to_11(self, n):
+        for s in enumerate_landau_sequences(n):
+            _assert_down_chunks_follow_reference(s)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_gr_down_walk_of_every_pair_up_to_8(self, n):
+        seqs = enumerate_landau_sequences(n)
+        for target in seqs:
+            for start in seqs:
+                _assert_gr_down_chunks_follow_reference(start, target)
+
+    def test_up_walk_of_every_sequence_of_order_10(self):
+        for s in enumerate_landau_sequences(10):
+            _assert_up_chunks_follow_reference(s)
+
+    @settings(max_examples=40, deadline=None)
+    @given(valid_sequences())
+    def test_drawn_sequences_up_to_40(self, s):
+        _assert_down_chunks_follow_reference(s)
+        _assert_gr_down_chunks_follow_reference(transitive_sequence(s.n), s)
+        _assert_gr_down_chunks_follow_reference(s, regular_sequence(s.n))
+
+    @pytest.mark.parametrize("n", [300, 301])
+    def test_transitive_sequences(self, n):
+        _assert_down_chunks_follow_reference(transitive_sequence(n))
+        _assert_gr_down_chunks_follow_reference(
+            transitive_sequence(n), regular_sequence(n)
+        )
+
+    def test_unequal_raises_and_lowers_raise(self):
+        # a target one above the start's total: after the first step the
+        # closed form has one raise left and no lower, which is an error, not
+        # a shorter walk
+        walk = _gr_down_walk([0, 1, 2, 3], [1, 2, 2, 2])
+        assert next(walk) == (1, 4)
+        with pytest.raises(ValueError, match="raises 1 times but lowers 0 times"):
+            next(walk)
 
 
 #: multi-step traces of all three walks, and the empty traces at n = 1 and 2
@@ -839,6 +933,22 @@ class TestTraceMemory:
         s = regular_sequence(101)
         trace, peak = _peak_bytes(up_trace, s)
         assert len(trace) == max_c_value(101) == 42_925
+        assert peak < 1e6
+
+    @pytest.mark.parametrize(
+        "step, args",
+        [
+            (down_jump_step, (transitive_sequence(4000),)),
+            (gr_down_step, (transitive_sequence(4000), regular_sequence(4000))),
+            (up_step, (regular_sequence(4000),)),
+        ],
+        ids=["down", "gr-down", "up"],
+    )
+    def test_one_step_of_order_4000_stays_linear(self, step, args):
+        # a step reads only its walk's first chunk, one step found in O(n);
+        # a walk built eagerly would hold 8 bytes for each of its 2M steps
+        result, peak = _peak_bytes(step, *args)
+        assert isinstance(result, JumpStep)
         assert peak < 1e6
 
     @pytest.mark.parametrize("n", range(1, 10))

@@ -2,7 +2,6 @@ import tracemalloc
 from itertools import combinations
 from types import SimpleNamespace
 from typing import List, Optional
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -471,8 +470,13 @@ def _reference_on_rows(rows, src, dst):
 
 
 def _realize_with_reference(s: LandauSequence):
-    with mock.patch.object(tournaments, "_shortest_path", _reference_on_rows):
-        return realize(s), realize_stages(s)
+    """``realize`` and ``realize_stages`` of ``s``, replayed with the reference
+    search passed through the replay's ``search=`` keyword."""
+    stages = [
+        Tournament._trusted(rows)
+        for rows in tournaments._replay(s, search=_reference_on_rows)
+    ]
+    return stages[-1], stages
 
 
 @st.composite
@@ -573,11 +577,8 @@ class TestRows:
 class TestReplayErrors:
     def test_missing_path_raises_typed_error(self):
         s = LandauSequence((0, 1, 2))
-        with mock.patch.object(tournaments, "_shortest_path", lambda *a: None):
-            with pytest.raises(UnreachableError):
-                realize(s)
-            with pytest.raises(UnreachableError):
-                realize_stages(s)
+        with pytest.raises(UnreachableError):
+            list(tournaments._replay(s, search=lambda *a: None))
 
     def test_score_sequence_rejects_non_landau_scores(self):
         fake = SimpleNamespace(_popcounts=lambda: [3, 0, 0])
