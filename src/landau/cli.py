@@ -315,8 +315,9 @@ def trace(sequence, file_, algorithm, fmt):
         jump = JumpAlgorithm(algorithm)
         walk, start, end = _walk_plan(jump, s)
         # each step is written as it is replayed on its own list from the
-        # walk's chunks, one chunk held at a time (at most about 0.9 MB under
-        # the cap: the rest of a down walk at Tr_928)
+        # walk's chunks, one chunk held at a time (at most about 0.86 MB
+        # under the cap, 1.3 MB while it is built: the whole down walk at
+        # Tr_928, 107,416 steps in one chunk)
         positions = chain.from_iterable(walk(list(start.scores), list(end.scores)))
         scores = list(start.scores)
         sys.stdout.writelines(render(start, end, _replayed(scores, jump, positions), scores))

@@ -21,7 +21,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, chain, compress, count, repeat
 from math import comb
-from operator import lt
+from operator import eq, gt, lt
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 #: Raw, unvalidated score input: any sequence of integers of length >= 1.
@@ -80,6 +80,13 @@ def _int_scores(v: ScoreVector) -> tuple:
 def _scores(v: ScoreVector) -> tuple:
     """A sequence's scores as they are, or a raw vector read by ``_int_scores``."""
     return v.scores if isinstance(v, LandauSequence) else _int_scores(v)
+
+
+def _sequence(s: LandauSequence) -> LandauSequence:
+    """``s`` itself; ``TypeError`` unless it is a :class:`LandauSequence`."""
+    if not isinstance(s, LandauSequence):
+        raise TypeError(f"expected a LandauSequence, not {type(s).__name__}")
+    return s
 
 
 def _violation(scores: tuple) -> Optional[ViolationReport]:
@@ -190,7 +197,7 @@ def _prefix_equalities(scores: Sequence[int]) -> Iterator[int]:
 
 def first_equality_index(s: LandauSequence) -> Optional[int]:
     """Smallest k < n with prefix sum exactly C(k,2), or None if strong."""
-    return next(_prefix_equalities(s.scores), None)
+    return next(_prefix_equalities(_sequence(s).scores), None)
 
 
 def _order(n: int) -> int:
@@ -413,61 +420,62 @@ class JumpTrace:
 # The three walks.  Each moves one unit of score at a time in a sorted list,
 # in place, until the list equals ``target``, and yields flat chunks of the
 # 1-based positions low, high, low, high, ... of its steps.  After each yield
-# the list is the state after every position yielded so far, and the first
-# chunk is exactly one step, found in O(n), so ``next(walk(...))`` is the
-# first step's (low, high).  Later chunks are runs of steps built by C-level
-# ``range`` and ``array`` operations: the two down walks hand over the rest of
-# the walk as one array, in closed form, and the up walk one array per run of
+# the list is the state after every position yielded so far.  The chunks are
+# built by C-level ``range`` and ``array`` operations: each down walk yields
+# itself as one array, in closed form, and the up walk one array per run of
 # big steps at the same k.  No walk stops after a precomputed count: each
-# closed form is read off the target's values, and ``_interleaved`` raises if
-# the raises and the lowers it pairs differ in number.
-def _interleaved(lows: array, highs: array) -> array:
-    """The flat positions lows[0], highs[0], lows[1], highs[1], ... of a
-    walk's raised and lowered positions."""
-    if len(lows) != len(highs):
+# closed form is read off the target's values, and ``_closed_form`` raises if
+# the raises and the lowers it pairs differ in number.  The step functions
+# share no code with the walks: each reads its step off the algorithm's rule.
+def _closed_form(
+    raises: Callable, lowers: Callable, a: List[int], target: List[int]
+) -> Iterator[array]:
+    """A down walk as one chunk: the flat positions lows[0], highs[0],
+    lows[1], highs[1], ... of the arrays ``raises(a, target)`` and
+    ``lowers(a, target)`` of its raised and lowered positions.  The raises
+    are spread into the chunk and freed before ``lowers`` is called, so at
+    most 12 bytes a step are held."""
+    raised = raises(a, target)
+    pairs = raised * 2
+    pairs[0::2] = raised
+    del raised
+    lowered = lowers(a, target)
+    if 2 * len(lowered) != len(pairs):
         raise ValueError(
-            f"walk raises {len(lows)} times but lowers {len(highs)} times"
+            f"walk raises {len(pairs) // 2} times but lowers {len(lowered)} times"
         )
-    pairs = lows * 2
-    pairs[0::2] = lows
-    pairs[1::2] = highs
-    return pairs
+    pairs[1::2] = lowered
+    if pairs:
+        a[:] = target
+        yield pairs
 
 
 # The down walk raises the last position of the minimum's run and lowers the
 # first position of the maximum's run.  Before the end the maximum exceeds the
 # minimum by at least 2 (a sorted sequence with max - min <= 1 and the total
 # C(n,2) is R_n), so no position is ever both raised and lowered: a raised
-# position joins the run above it and a lowered one the run below it, and the
-# runs' ends in the list as it stands give every later step (``_down_rest``).
-def _down_walk(a: List[int], target: List[int]) -> Iterator[Sequence[int]]:
-    if a == target:
-        return
-    p = bisect_right(a, a[0])
-    q = bisect_left(a, a[-1]) + 1
-    a[p - 1] += 1
-    a[q - 1] -= 1
-    yield p, q
-    rest = _down_rest(a, target)
-    if rest:
-        a[:] = target
-        yield rest
+# position joins the run above it and a lowered one the run below it.  So the
+# runs' ends in the start give every step.
+def _down_walk(a: List[int], target: List[int]) -> Iterator[array]:
+    return _closed_form(_down_raises, _down_lowers, a, target)
 
 
-def _down_rest(a: List[int], target: List[int]) -> array:
-    """The down walk's positions from ``a`` to ``target``, in closed form.
-
-    The minimum v runs from a[0] up to target[-1] - 1 and raises the
-    positions bisect_right(a, v) down to bisect_right(target, v) + 1; the
-    maximum w runs from a[-1] down to target[0] + 1 and lowers the positions
-    bisect_left(a, w) + 1 up to bisect_left(target, w).
-    """
-    lows, highs = array("I"), array("I")
+def _down_raises(a: List[int], target: List[int]) -> array:
+    """The minimum v runs from a[0] up to target[-1] - 1 and raises the
+    positions bisect_right(a, v) down to bisect_right(target, v) + 1."""
+    lows = array("I")
     for v in range(a[0], target[-1]):
         lows.extend(range(bisect_right(a, v), bisect_right(target, v), -1))
+    return lows
+
+
+def _down_lowers(a: List[int], target: List[int]) -> array:
+    """The maximum w runs from a[-1] down to target[0] + 1 and lowers the
+    positions bisect_left(a, w) + 1 up to bisect_left(target, w)."""
+    highs = array("I")
     for w in range(a[-1], target[0], -1):
         highs.extend(range(bisect_left(a, w) + 1, bisect_left(target, w) + 1))
-    return _interleaved(lows, highs)
+    return highs
 
 
 # alpha is the first position short of the target and gamma the first above
@@ -478,50 +486,36 @@ def _down_rest(a: List[int], target: List[int]) -> array:
 # alpha holds at most a[alpha], and an excess one past it more than
 # target[alpha] > a[alpha], before and after it is lowered.  So the raises
 # follow from the list without the lowers, and the lowers from the excess of
-# each position (``_gr_down_rest``).
-def _gr_down_walk(a: List[int], target: List[int]) -> Iterator[Sequence[int]]:
-    if a == target:
-        return
-    alpha = gamma = 0
-    while a[alpha] >= target[alpha]:
-        alpha += 1
-    while a[gamma] <= target[gamma]:
-        gamma += 1
-    beta = bisect_right(a, a[alpha])
-    a[beta - 1] += 1
-    a[gamma] -= 1
-    yield beta, gamma + 1
-    rest = _gr_down_rest(a, target, alpha, gamma)
-    if rest:
-        a[:] = target
-        yield rest
+# each position, which the raises never touch.
+def _gr_down_walk(a: List[int], target: List[int]) -> Iterator[array]:
+    return _closed_form(_gr_down_raises, _gr_down_lowers, a, target)
 
 
-def _gr_down_rest(a: List[int], target: List[int], alpha: int, gamma: int) -> array:
-    """The gr-down walk's positions from ``a`` to ``target``, in closed form,
-    with ``alpha`` and ``gamma`` at most the first short and the first excess
-    position.  ``a`` is left with its short positions at target.
-
-    Each excess position i, in ascending order, is lowered a[i] - target[i]
-    times in a row.  The raises come in blocks: with v = a[alpha] and
-    r = bisect_right(a, v), a block raises the run's positions r, r - 1, ...,
-    alpha + 1 (1-based) to v + 1, and then alpha moves past the positions
-    that are now at target.
-    """
-    n = len(a)
-    highs = array("I")
-    for i in range(gamma, n):
-        highs.extend(repeat(i + 1, a[i] - target[i]))
-    lows = array("I")
+def _gr_down_raises(a: List[int], target: List[int]) -> array:
+    """The raises come in blocks: with v = a[alpha] and r = bisect_right(a,
+    v), a block raises the run's positions r, r - 1, ..., alpha + 1 (1-based)
+    to v + 1, and then alpha moves past the positions that are now at
+    target.  ``a`` is left with its short positions at target."""
+    n, alpha, lows = len(a), 0, array("I")
     while True:
         while alpha < n and a[alpha] >= target[alpha]:
             alpha += 1
         if alpha == n:
-            return _interleaved(lows, highs)
+            return lows
         v = a[alpha]
         r = bisect_right(a, v)
         lows.extend(range(r, alpha, -1))
         a[alpha:r] = repeat(v + 1, r - alpha)
+
+
+def _gr_down_lowers(a: List[int], target: List[int]) -> array:
+    """Each excess position i, in ascending order, is lowered a[i] - target[i]
+    times in a row."""
+    highs = array("I")
+    for i, excess in enumerate(map(operator.sub, a, target), 1):
+        if excess > 0:
+            highs.extend(repeat(i, excess))
+    return highs
 
 
 # The up walk does Python work only once per run of big steps.  Let k be the
@@ -548,12 +542,11 @@ def _gr_down_rest(a: List[int], target: List[int], alpha: int, gamma: int) -> ar
 # big step.  Every state inside the run repeats a score, so none is the
 # target Tr_n.  After it, positions 1..k strictly increase, so the search for
 # the next k resumes at k+1, and j is found by a scan down from the new k; at
-# j = 1 the scan reads a[-1], the largest score, which is never a[0]-1.  The
-# walk's first big step is yielded alone, and the rest of its run after it.
-def _up_walk(a: List[int], target: List[int]) -> Iterator[Sequence[int]]:
+# j = 1 the scan reads a[-1], the largest score, which is never a[0]-1.
+def _up_walk(a: List[int], target: List[int]) -> Iterator[array]:
     n = len(a)
     cascades = array("I", chain.from_iterable((i, i + 1) for i in range(n - 1, 0, -1)))
-    k, first = 0, True
+    k = 0
     while a != target:
         k += 1
         while a[k - 1] != a[k]:
@@ -565,22 +558,15 @@ def _up_walk(a: List[int], target: List[int]) -> Iterator[Sequence[int]]:
         h = bisect_right(a, v, k)
         big = min(k - j, h - k - 1) + 1
         base = 2 * (n - k)
-        run, start = array("I"), j
-        if first:
-            first = False
-            a[k - 1] = v - 1
-            a[h - 1] = v + 1
-            yield k, h
-            run, start = cascades[base : 2 * (n - j)], j + 1
-        for x in range(start, j + big):
+        run = array("I")
+        for x in range(j, j + big):
             run.append(k)
             run.append(h + j - x)
             run += cascades[base : 2 * (n - x)]
         a[k - 1] = v
         a[j - 1 : j + big - 1] = range(lowest - 1, lowest + big - 1)
         a[h - big : h] = repeat(v + 1, big)
-        if run:
-            yield run
+        yield run
 
 
 def _walk_plan(
@@ -590,35 +576,54 @@ def _walk_plan(
 
     down walks from s to R_n, gr-down from Tr_n to s, gr-up from s to Tr_n.
     """
+    n = _sequence(s).n
     if algorithm is JumpAlgorithm.DOWN:
-        return _down_walk, s, regular_sequence(s.n)
+        return _down_walk, s, regular_sequence(n)
     if algorithm is JumpAlgorithm.GR_DOWN:
-        return _gr_down_walk, transitive_sequence(s.n), s
-    return _up_walk, s, transitive_sequence(s.n)
-
-
-def _step(
-    algorithm: JumpAlgorithm,
-    walk: Callable,
-    s: LandauSequence,
-    target: LandauSequence,
-    at_target: type,
-) -> JumpStep:
-    # the first step of the walk from s toward target; raises at_target at it
-    if s.scores == target.scores:
-        raise at_target(str(s))
-    scores = list(s.scores)
-    low, high = next(walk(scores, list(target.scores)))
-    after = LandauSequence._trusted(tuple(scores))
-    return JumpStep(s, after, low, high, algorithm)
+        return _gr_down_walk, transitive_sequence(n), s
+    return _up_walk, s, transitive_sequence(n)
 
 
 def _trace(algorithm: JumpAlgorithm, s: LandauSequence) -> JumpTrace:
     walk, start, end = _walk_plan(algorithm, s)
-    pairs = array("I")
-    for chunk in walk(list(start.scores), list(end.scores)):
-        pairs.extend(chunk)
+    chunks = walk(list(start.scores), list(end.scores))
+    pairs = next(chunks, array("I"))
+    for chunk in chunks:
+        pairs += chunk
     return JumpTrace._trusted(start, end, algorithm, pairs)
+
+
+def _step(
+    algorithm: JumpAlgorithm,
+    rule: Callable,
+    s: LandauSequence,
+    target: LandauSequence,
+    at_target: type,
+) -> JumpStep:
+    # the step (low, high) = rule(s, target) toward target, made by the
+    # algorithm's move; raises at_target at the target
+    if s.scores == target.scores:
+        raise at_target(str(s))
+    low, high = rule(s.scores, target.scores)
+    scores = list(s.scores)
+    next(_replayed(scores, algorithm, (low, high)))
+    return JumpStep(s, LandauSequence._trusted(tuple(scores)), low, high, algorithm)
+
+
+# The rules of the three step functions, each read off the sorted scores ``a``
+# in O(n) as the function's docstring states, at a sequence short of its target.
+def _down_rule(a: tuple, target: tuple) -> Tuple[int, int]:
+    return bisect_right(a, a[0]), bisect_left(a, a[-1]) + 1
+
+
+def _gr_down_rule(a: tuple, target: tuple) -> Tuple[int, int]:
+    alpha = _first_true(map(lt, a, target))
+    return bisect_right(a, a[alpha - 1]), _first_true(map(gt, a, target))
+
+
+def _up_rule(a: tuple, target: tuple) -> Tuple[int, int]:
+    k = _first_true(map(eq, a, a[1:]))
+    return k, bisect_right(a, a[k - 1])
 
 
 def down_jump_step(s: LandauSequence) -> JumpStep:
@@ -629,17 +634,17 @@ def down_jump_step(s: LandauSequence) -> JumpStep:
     position q loses 1.  The result stays valid and sits strictly below the
     input in the total order, two closer to the regular sequence in 1-norm.
     """
-    r = regular_sequence(s.n)
-    return _step(JumpAlgorithm.DOWN, _down_walk, s, r, AlreadyRegular)
+    r = regular_sequence(_sequence(s).n)
+    return _step(JumpAlgorithm.DOWN, _down_rule, s, r, AlreadyRegular)
 
 
 def down_trace(s: LandauSequence) -> JumpTrace:
     """Iterate down jumps until the regular sequence; d(s, R)/2 steps.
 
-    After its first step the walk is read off in closed form: one bisect per
-    value the minimum and the maximum pass, and C-level array work per step.
-    Unlike ``landau trace`` the walk has no cap; the trace holds 8 bytes a
-    step, and the closed form holds 16 bytes a step while it is built.
+    The walk is read off in closed form: one bisect per value the minimum
+    and the maximum pass, and C-level array work per step.  Unlike ``landau
+    trace`` the walk has no cap; the trace holds 8 bytes a step, and 12
+    while the closed form is built.
     """
     return _trace(JumpAlgorithm.DOWN, s)
 
@@ -651,19 +656,18 @@ def gr_down_step(u: LandauSequence, target: LandauSequence) -> JumpStep:
     u falls short of the target; gamma is the first position where u exceeds
     the target.  Position beta gains 1 and position gamma loses 1.
     """
-    if len(u) != len(target):
+    if _sequence(u).n != _sequence(target).n:
         raise ValueError("sequences must have equal length")
-    return _step(JumpAlgorithm.GR_DOWN, _gr_down_walk, u, target, Converged)
+    return _step(JumpAlgorithm.GR_DOWN, _gr_down_rule, u, target, Converged)
 
 
 def gr_down_trace(target: LandauSequence) -> JumpTrace:
     """Jump down from the transitive sequence to ``target``; d(Tr, target)/2 steps.
 
-    After its first step the walk is read off in closed form: O(n) Python
-    work, one bisect per block of raised positions, and C-level array work
-    per step.  Unlike ``landau trace`` the walk has no cap; the trace holds
-    8 bytes a step, and the closed form holds 16 bytes a step while it is
-    built.
+    The walk is read off in closed form: O(n) Python work, one bisect per
+    block of raised positions, and C-level array work per step.  Unlike
+    ``landau trace`` the walk has no cap; the trace holds 8 bytes a step,
+    and 12 while the closed form is built.
     """
     return _trace(JumpAlgorithm.GR_DOWN, target)
 
@@ -674,8 +678,8 @@ def up_step(s: LandauSequence) -> JumpStep:
     k is the first position of a repeated value and m the multiplicity of
     that value; position k loses 1 and position k+m-1 gains 1.
     """
-    tr = transitive_sequence(s.n)
-    return _step(JumpAlgorithm.GR_UP, _up_walk, s, tr, AlreadyTransitive)
+    tr = transitive_sequence(_sequence(s).n)
+    return _step(JumpAlgorithm.GR_UP, _up_rule, s, tr, AlreadyTransitive)
 
 
 def up_trace(s: LandauSequence) -> JumpTrace:
@@ -696,7 +700,7 @@ def c_value(s: LandauSequence) -> int:
     Any tournament realizing ``s`` has exactly this many directed 3-cycles,
     and the up-jump algorithm takes exactly this many steps from ``s``.
     """
-    return _cyclic_triples(s.scores)
+    return _cyclic_triples(_sequence(s).scores)
 
 
 def _cyclic_triples(scores: Sequence[int]) -> int:

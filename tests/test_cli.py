@@ -490,6 +490,26 @@ class TestTrace:
         if fmt == "text":
             assert result.output.count("\n") == 42927
 
+    # sha256 of the down trace of Tr_200 and the gr-down trace of R_200,
+    # 4,950 steps each, taken while each down walk yielded its first step
+    # apart from the closed form of its rest; CI checks the same bytes from
+    # a fresh process
+    DOWN_WALK_200_DIGESTS = {
+        ("down", "json"): "352ff78e0fd089e05bc7ca3f2c82f98de8b52429574ed7db7567783fe250e39a",
+        ("down", "text"): "f682651fb0896c8c13b2ce82a076bae3712d3ff8457f399f69d3eb150f4fc7f3",
+        ("gr-down", "json"): "279e0a546309e0ab6cf28e1ca7f46f380ec19619647819752833a4eb93dac5f3",
+        ("gr-down", "text"): "65f0f08fb96fb5f321e2b4d8b4b51357f8cdd22a9014261e674ef88ef44537e2",
+    }
+
+    @pytest.mark.parametrize("algorithm, fmt", list(DOWN_WALK_200_DIGESTS))
+    def test_down_walks_200_digest(self, runner, algorithm, fmt):
+        s = transitive_sequence(200) if algorithm == "down" else regular_sequence(200)
+        result = run(runner, "trace", "--algorithm", algorithm, "--format", fmt, str(s))
+        digest = hashlib.sha256(result.output.encode()).hexdigest()
+        assert digest == self.DOWN_WALK_200_DIGESTS[algorithm, fmt]
+        if fmt == "text":
+            assert result.output.count("\n") == 4952
+
 
 class TestEnumerate:
     def test_n4_listing(self, runner):

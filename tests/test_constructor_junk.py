@@ -1,4 +1,4 @@
-"""Junk input for the public constructors and path functions.
+"""Junk input for the public constructors, path functions and sequence readers.
 
 Junk is floats, bools, None, text, huge ints, empty input, wrong lengths and
 matrices that are not square or not 0/1.  Each input must get a result that
@@ -29,15 +29,21 @@ from landau.sequences import (
     JumpTrace,
     LandauSequence,
     ViolationReport,
+    c_value,
+    down_jump_step,
     down_trace,
+    first_equality_index,
     first_violation,
+    gr_down_step,
     gr_down_trace,
     max_c_value,
     max_down_jumps,
     regular_sequence,
     transitive_sequence,
+    up_step,
     up_trace,
     validate_landau,
+    validate_strong_landau,
 )
 from landau import tournaments
 from landau.tournaments import (
@@ -407,3 +413,31 @@ class TestJumpTrace:
         t = TRACES[0]
         result, error = _outcome(JumpTrace, t.start, t.end, steps)
         assert result is None and isinstance(error, TypeError)
+
+
+#: Each function that reads a LandauSequence, as a function of it.
+SEQUENCE_READERS = {
+    "down_trace": down_trace,
+    "gr_down_trace": gr_down_trace,
+    "up_trace": up_trace,
+    "down_jump_step": down_jump_step,
+    "gr_down_step start": lambda x: gr_down_step(x, S),
+    "gr_down_step target": lambda x: gr_down_step(transitive_sequence(5), x),
+    "up_step": up_step,
+    "realize": tournaments.realize,
+    "realize_stages": tournaments.realize_stages,
+    "c_value": c_value,
+    "validate_strong_landau": validate_strong_landau,
+    "first_equality_index": first_equality_index,
+}
+
+
+class TestSequenceReaders:
+    # raw scores, even valid ones, are not a LandauSequence: validating them
+    # is the caller's step, and skipping it is a TypeError, not a bare
+    # AttributeError from deep inside the function
+    @pytest.mark.parametrize("x", [(2, 2, 2, 2, 2), [2, 2, 2, 2, 2], None, "22222", 5])
+    @pytest.mark.parametrize("name", sorted(SEQUENCE_READERS))
+    def test_raw_input_is_a_type_error(self, name, x):
+        with pytest.raises(TypeError, match="expected a LandauSequence"):
+            SEQUENCE_READERS[name](x)

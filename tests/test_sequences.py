@@ -660,9 +660,9 @@ class TestResumedScanInvariants:
 def _assert_chunks_follow_reference(walk, start, end, steps) -> list:
     """A walk's chunk contract, against the reference chain ``steps`` from
     ``start`` to ``end``: the walk's list after each yield is the reference
-    state after as many steps as positions yielded so far, the first chunk is
-    one step, and the chunks concatenate to the reference's positions.
-    Returns the chunks as lists of (low, high) pairs."""
+    state after as many steps as positions yielded so far, and the chunks
+    concatenate to the reference's positions.  Returns the chunks as lists
+    of (low, high) pairs."""
     states = [start.scores] + [step.after.scores for step in steps]
     expected = [(step.low, step.high) for step in steps]
     a, done, chunks = list(start.scores), 0, []
@@ -670,7 +670,6 @@ def _assert_chunks_follow_reference(walk, start, end, steps) -> list:
         flat = list(chunk)
         assert flat and len(flat) % 2 == 0, (start, end, chunk)
         pairs = list(zip(flat[0::2], flat[1::2]))
-        assert len(pairs) == 1 or i > 0, (start, end, chunk)
         assert pairs == expected[done : done + len(pairs)], (start, end, i)
         done += len(pairs)
         assert tuple(a) == states[done], (start, end, i)
@@ -680,18 +679,19 @@ def _assert_chunks_follow_reference(walk, start, end, steps) -> list:
 
 
 def _assert_down_chunks_follow_reference(s: LandauSequence) -> None:
-    """The down walk from ``s``: its first step, then the rest in one chunk."""
+    """The down walk from ``s``: one chunk, or none at the target."""
     r = regular_sequence(s.n)
     steps = _reference_chain(_reference_down_jump_step, s, r)
-    assert len(_assert_chunks_follow_reference(_down_walk, s, r, steps)) <= 2
+    chunks = _assert_chunks_follow_reference(_down_walk, s, r, steps)
+    assert len(chunks) == bool(steps)
 
 
 def _assert_gr_down_chunks_follow_reference(u, target: LandauSequence) -> None:
-    """The gr-down walk from ``u`` to ``target``: its first step, then the
-    rest in one chunk."""
+    """The gr-down walk from ``u`` to ``target``: one chunk, or none at the
+    target."""
     steps = _reference_chain(lambda x: _reference_gr_down_step(x, target), u, target)
     chunks = _assert_chunks_follow_reference(_gr_down_walk, u, target, steps)
-    assert len(chunks) <= 2
+    assert len(chunks) == bool(steps)
 
 
 def _assert_is_up_run(pairs: list) -> None:
@@ -711,22 +711,15 @@ def _assert_is_up_run(pairs: list) -> None:
 
 def _assert_up_chunks_follow_reference(s: LandauSequence) -> None:
     """The up walk's chunk contract, against the reference chain, and its
-    chunk shape: the first chunk is the first big step alone, the next may
-    finish that step's run, and every later chunk is one whole run, at a k
-    above the previous run's."""
+    chunk shape: every chunk is one whole run, at a k above the previous
+    run's."""
     tr = transitive_sequence(s.n)
     steps = _reference_chain(_reference_up_step, s, tr)
     chunks = _assert_chunks_follow_reference(_up_walk, s, tr, steps)
-    runs = chunks[:1]
-    for chunk in chunks[1:]:
-        k = runs[-1][0][0]
-        if len(runs) == 1 and len(runs[0]) == 1 and chunk[0] == (k - 1, k):
-            runs[0] += chunk  # the cascade after the first big step
-        else:
-            assert chunk[0][0] > k, (s, chunk)
-            runs.append(chunk)
-    for run in runs:
-        _assert_is_up_run(run)
+    for before, chunk in zip(chunks, chunks[1:]):
+        assert chunk[0][0] > before[0][0], (s, chunk)
+    for chunk in chunks:
+        _assert_is_up_run(chunk)
 
 
 class TestUpWalkChunks:
@@ -781,12 +774,10 @@ class TestClosedFormWalks:
         )
 
     def test_unequal_raises_and_lowers_raise(self):
-        # a target one above the start's total: after the first step the
-        # closed form has one raise left and no lower, which is an error, not
-        # a shorter walk
+        # a target one above the start's total: the closed form has two
+        # raises and one lower, which is an error, not a shorter walk
         walk = _gr_down_walk([0, 1, 2, 3], [1, 2, 2, 2])
-        assert next(walk) == (1, 4)
-        with pytest.raises(ValueError, match="raises 1 times but lowers 0 times"):
+        with pytest.raises(ValueError, match="raises 2 times but lowers 1 times"):
             next(walk)
 
 
@@ -936,6 +927,22 @@ class TestTraceMemory:
         assert peak < 1e6
 
     @pytest.mark.parametrize(
+        "trace, s",
+        [
+            (down_trace, transitive_sequence(4000)),
+            (gr_down_trace, regular_sequence(4000)),
+        ],
+        ids=["down", "gr-down"],
+    )
+    def test_down_walks_of_order_4000_hold_12_bytes_a_step(self, trace, s):
+        # the trace's 1,999,000 pairs take 16 MB; its raises are spread into
+        # them and freed before its lowers are built, so 24 MB are held at
+        # most, where holding raises, lowers and pairs at once took 32 MB
+        result, peak = _peak_bytes(trace, s)
+        assert len(result) == max_down_jumps(4000) == 1_999_000
+        assert peak < 26e6
+
+    @pytest.mark.parametrize(
         "step, args",
         [
             (down_jump_step, (transitive_sequence(4000),)),
@@ -945,8 +952,8 @@ class TestTraceMemory:
         ids=["down", "gr-down", "up"],
     )
     def test_one_step_of_order_4000_stays_linear(self, step, args):
-        # a step reads only its walk's first chunk, one step found in O(n);
-        # a walk built eagerly would hold 8 bytes for each of its 2M steps
+        # a step reads its rule off the sequence in O(n); a walk built
+        # eagerly would hold 8 bytes for each of its 2M steps
         result, peak = _peak_bytes(step, *args)
         assert isinstance(result, JumpStep)
         assert peak < 1e6
