@@ -22,7 +22,7 @@ from .sequences import (
     _order,
     regular_sequence,
 )
-from .tournaments import Tournament, _matrix
+from .tournaments import Tournament, _matrix, _tournament
 
 if TYPE_CHECKING:
     import numpy as np
@@ -124,7 +124,7 @@ def reachability(t: Tournament) -> np.ndarray:
     vertex reaches itself, and a vertex that reaches k reaches all k does.
     It reads no scores, so it can certify score-based claims.
     """
-    reach = [row | 1 << i for i, row in enumerate(t._rows)]
+    reach = [row | 1 << i for i, row in enumerate(_tournament(t)._rows)]
     for k in range(t.n):
         bit, through = 1 << k, reach[k]
         for i, row in enumerate(reach):
@@ -139,7 +139,7 @@ def three_cycles(t: Tournament) -> int:
     An arc i -> j closes a 3-cycle with each k in ``rows[j]`` and not in
     ``rows[i]``, so each cycle is counted once for each of its three arcs.
     """
-    rows = t._rows
+    rows = _tournament(t)._rows
     return sum((rows[j] & ~rows[i]).bit_count() for i, j in t.arcs()) // 3
 
 

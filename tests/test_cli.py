@@ -304,6 +304,19 @@ class TestRealize:
         digest = hashlib.sha256(result.output.encode()).hexdigest()
         assert digest == self.NEAR_TRANSITIVE_400_DIGESTS[fmt]
 
+    # sha256 of the transitive 0..299 realized as an arclist: the worst case's
+    # 11,175 jumps through paths of up to 252 arcs, and the bench's reference
+    # output for it, which no seed changes
+    TRANSITIVE_300_ARCLIST_DIGEST = (
+        "168a318d98e555c89a8492cfacf68ef2a10e41c99eef6ff1165cdcf746415081"
+    )
+
+    def test_transitive_300_digest(self, runner):
+        literal = ",".join(map(str, range(300)))
+        result = run(runner, "realize", "--format", "arclist", literal)
+        digest = hashlib.sha256(result.output.encode()).hexdigest()
+        assert digest == self.TRANSITIVE_300_ARCLIST_DIGEST
+
     def test_dot_format(self, runner):
         result = invoke(runner, "realize", "0,1,2", "--format", "dot")
         assert result.output == "digraph {\n  1 -> 0;\n  2 -> 0;\n  2 -> 1;\n}\n"

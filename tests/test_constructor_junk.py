@@ -23,7 +23,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from landau.oracle import enumerate_landau_sequences, enumerate_tournaments, stats
+from landau.oracle import (
+    enumerate_landau_sequences,
+    enumerate_tournaments,
+    reachability,
+    stats,
+    three_cycles,
+)
 from landau.sequences import (
     JumpAlgorithm,
     JumpTrace,
@@ -54,11 +60,15 @@ from landau.tournaments import (
     Tournament,
     TournamentError,
     VertexPath,
+    count_3cycles,
     find_path,
     from_arcs,
+    is_strong,
     nearly_regular,
     reverse_path,
     rotational_regular,
+    score_sequence,
+    strong_components,
 )
 
 TYPED = (TypeError, ValueError, OverflowError, TournamentError)
@@ -441,3 +451,31 @@ class TestSequenceReaders:
     def test_raw_input_is_a_type_error(self, name, x):
         with pytest.raises(TypeError, match="expected a LandauSequence"):
             SEQUENCE_READERS[name](x)
+
+
+#: Each function that reads a Tournament, as a function of it.
+TOURNAMENT_READERS = {
+    "score_sequence": score_sequence,
+    "strong_components": strong_components,
+    "is_strong": is_strong,
+    "count_3cycles": count_3cycles,
+    "find_path": lambda x: find_path(x, 0, 1),
+    "reverse_path": lambda x: reverse_path(x, VertexPath((0, 1))),
+    "oracle.three_cycles": three_cycles,
+    "oracle.reachability": reachability,
+}
+
+
+class TestTournamentReaders:
+    # rows, a matrix or nothing are not a Tournament: building one is the
+    # caller's step, and skipping it is a TypeError, not a bare
+    # AttributeError from deep inside the function
+    @pytest.mark.parametrize(
+        "x",
+        [None, (1, 2), [1, 2], T5.adjacency, T5._rows, S],
+        ids=["none", "tuple", "list", "matrix", "rows", "sequence"],
+    )
+    @pytest.mark.parametrize("name", sorted(TOURNAMENT_READERS))
+    def test_other_types_are_a_type_error(self, name, x):
+        with pytest.raises(TypeError, match="expected a Tournament"):
+            TOURNAMENT_READERS[name](x)

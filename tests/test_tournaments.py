@@ -1,6 +1,5 @@
 import tracemalloc
 from itertools import combinations
-from types import SimpleNamespace
 from typing import List, Optional
 
 import numpy as np
@@ -448,12 +447,19 @@ def _forced_long_path(n: int) -> np.ndarray:
     return adj
 
 
-def _mismatches(adj: np.ndarray):
-    """Ordered pairs where the two searches disagree, and the None count."""
+def _descending_long_path(n: int) -> np.ndarray:
+    """``_forced_long_path`` relabelled i -> n-1-i: n-1 -> 0 takes n-1 arcs,
+    through levels that start at the highest ids and step down."""
+    return _forced_long_path(n)[::-1, ::-1]
+
+
+def _mismatches(adj: np.ndarray, sources=None):
+    """Ordered pairs where the two searches disagree, and the None count,
+    over every source or the ones given."""
     n = adj.shape[0]
     rows = tournaments._rows(adj)
     bad, unreachable = [], 0
-    for src in range(n):
+    for src in range(n) if sources is None else sources:
         for dst in range(n):
             if src == dst:
                 continue
@@ -519,6 +525,25 @@ class TestShortestPathAgainstReference:
         assert not bad, bad
         assert unreachable == 0
 
+    # each BFS level is decoded from its lowest id up to its highest: on the
+    # descending long path the levels sit at high ids and their windows
+    # start and end on either side of the 30-bit digits and of bit 64 (and,
+    # at n=130, of bit 128)
+    def test_descending_long_paths_every_pair(self):
+        n = 70
+        adj = _descending_long_path(n)
+        path = find_path(Tournament(adj), n - 1, 0).vertices
+        assert path == tuple(range(n - 1, -1, -1))
+        bad, unreachable = _mismatches(adj)
+        assert not bad, bad
+        assert unreachable == 0
+
+    def test_descending_long_paths_past_bit_128(self):
+        adj = _descending_long_path(130)
+        bad, unreachable = _mismatches(adj, sources=[129, 128, 127, 65, 64, 63, 30, 0])
+        assert not bad, bad
+        assert unreachable == 0
+
     @pytest.mark.parametrize("n", [31, 60, 80])
     def test_realize_transitive_matches_reference_replay(self, n):
         s = transitive_sequence(n)
@@ -526,7 +551,7 @@ class TestShortestPathAgainstReference:
         assert realize(s) == expected
         assert realize_stages(s) == expected_stages
 
-    @pytest.mark.parametrize("n", [40, 60, 80])
+    @pytest.mark.parametrize("n", [40, 60, 80, 140])
     def test_realize_near_transitive_matches_reference_replay(self, n):
         # (1, 1, 2, ..., n-3, n-2, n-2): strong, with paths as long as Tr_n's
         s = LandauSequence((1, 1, *range(2, n - 2), n - 2, n - 2))
@@ -581,9 +606,11 @@ class TestReplayErrors:
             list(tournaments._replay(s, search=lambda *a: None))
 
     def test_score_sequence_rejects_non_landau_scores(self):
-        fake = SimpleNamespace(_popcounts=lambda: [3, 0, 0])
+        # rows past the constructor's checks: vertex 0 beats all three
+        # vertices, itself included, so the out-degrees are 3, 0, 0
+        corrupt = Tournament._trusted([0b111, 0, 0])
         with pytest.raises(TournamentError):
-            score_sequence(fake)
+            score_sequence(corrupt)
 
 
 class TestRowsAgreeWithAdjacency:
