@@ -365,10 +365,10 @@ def _shortest_path(rows: Sequence[int], src: int, dst: int) -> Optional[List[int
     of the level's out-sets within the set of vertices not yet seen:
     ``_flags`` decodes the level from its lowest id up, ``compress`` picks
     the level's rows out of the slice of its id range, and ``reduce`` ORs
-    them, all in C.  That is exactly the set of unvisited vertices the level beats,
-    so its lowest in-neighbour of dst is the vertex sought; if it holds
-    none, it leaves the unseen set and the search goes on from it.  The
-    path is rebuilt backwards from the lowest set bit of
+    them, all in C.  That is exactly the set of unvisited vertices the
+    level beats, so its lowest in-neighbour of dst is the vertex sought; if
+    it holds none, it leaves the unseen set and the search goes on from it.
+    The path is rebuilt backwards from the lowest set bit of
     ``level & ~rows[cur]``.  Each step is one operation on n-bit ints, and
     the levels are disjoint, so a search makes at most n ORs: O(n^2 / 64)
     word operations, and O(n / 64) when a shortcut applies.  A level's
