@@ -12,9 +12,11 @@ order limit, ``realize`` on more than ``REALIZE_CAP`` scores or more than
 score check before output, or a ``trace`` of more than ``TRACE_CAP``
 scores, steps x n), 2 usage or parse error (including a --file
 that is not UTF-8 text).  No subcommand imports numpy: tournaments are
-rendered from their bit rows, and ``realize`` and ``trace`` hand their
-output to stdout as it is made, so stdout's own buffer bounds the text
-held at once.
+rendered from their bit rows.  Every output of ``realize`` (five formats)
+and ``trace`` (two) is a head, rows with a separator between them, and a
+tail, made by one writer, ``_pieces``, and handed to stdout one row or
+step at a time as it is made, so stdout's own buffer bounds the text held
+at once.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import json
 import sys
 from dataclasses import asdict
 from itertools import chain, compress
-from typing import Iterator, List, NoReturn, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, NoReturn, Optional, Sequence, Tuple
 
 import click
 
@@ -189,56 +191,42 @@ def validate(sequence, file_, strong, fmt):
     sys.exit(1 if failed else 0)
 
 
-def _out_rows(t: Tournament) -> Iterator[Tuple[str, List[str]]]:
-    """Each vertex that beats someone, as a label with the labels it beats."""
+def _pieces(head: str, items: Iterable[str], sep: str, tail: str) -> Iterator[str]:
+    """``head``, then each item with ``sep`` before all but the first, then
+    ``tail``: every output's shape, written one piece at a time."""
+    yield head
+    items = iter(items)
+    yield next(items, "")
+    for item in items:
+        yield sep + item
+    yield tail
+
+
+def _arc_rows(
+    t: Tournament, lead: str, mid: str, end: str, sep: str = ""
+) -> Iterator[str]:
+    """One row for each vertex i that beats someone: ``lead i mid j end`` for
+    each j it beats, ascending, with ``sep`` between those arcs."""
     labels = [str(i) for i in range(t.n)]
-    for label, row in zip(labels, t._rows):
-        losers = list(compress(labels, _flags(row)))
-        if losers:
-            yield label, losers
+    for i, row in zip(labels, t._rows):
+        if row:
+            head = lead + i + mid
+            yield head + (end + sep + head).join(compress(labels, _flags(row))) + end
 
 
-def _render_arclist(t: Tournament) -> Iterator[str]:
-    # "i j\n" per arc, one piece per row
-    for i, losers in _out_rows(t):
-        yield f"{i} " + f"\n{i} ".join(losers) + "\n"
-
-
-def _render_matrix(t: Tournament) -> Iterator[str]:
-    # n digits a row, digit j "1" iff the vertex beats j
-    width = f"0{t.n}b"
-    for row in t._rows:
-        yield format(row, width)[::-1] + "\n"
-
-
-def _render_dot(t: Tournament) -> Iterator[str]:
-    yield "digraph {\n"
-    for i, losers in _out_rows(t):
-        yield f"  {i} -> " + f";\n  {i} -> ".join(losers) + ";\n"
-    yield "}\n"
-
-
-def _render_json(t: Tournament) -> Iterator[str]:
-    # the bytes json.dumps gives for {"n", "scores", "arcs"}, one piece per row
-    yield f'{{"n": {t.n}, "scores": {_json_ints(t._popcounts())}, "arcs": ['
-    sep = ""
-    for i, losers in _out_rows(t):
-        yield sep + f"[{i}, " + f"], [{i}, ".join(losers) + "]"
-        sep = ", "
-    yield "]}\n"
-
-
-def _render_text(t: Tournament) -> Iterator[str]:
-    yield f"n={t.n}\nscores: {_seq_str(t._popcounts())}\n"
-    yield from _render_arclist(t)
-
-
+# each format as the pieces of its bytes; json's are those json.dumps gives
+# for {"n", "scores", "arcs"}, and matrix's row digit j is "1" iff i beats j
 _RENDERERS = {
-    "text": _render_text,
-    "json": _render_json,
-    "dot": _render_dot,
-    "matrix": _render_matrix,
-    "arclist": _render_arclist,
+    "text": lambda t: _pieces(
+        f"n={t.n}\nscores: {_seq_str(t._popcounts())}\n", _arc_rows(t, "", " ", "\n"), "", ""
+    ),
+    "json": lambda t: _pieces(
+        f'{{"n": {t.n}, "scores": {_json_ints(t._popcounts())}, "arcs": [',
+        _arc_rows(t, "[", ", ", "]", ", "), ", ", "]}\n",
+    ),
+    "dot": lambda t: _pieces("digraph {\n", _arc_rows(t, "  ", " -> ", ";\n"), "", "}\n"),
+    "matrix": lambda t: (format(row, f"0{t.n}b")[::-1] + "\n" for row in t._rows),
+    "arclist": lambda t: _arc_rows(t, "", " ", "\n"),
 }
 TOURNAMENT_FORMATS = tuple(_RENDERERS)
 
@@ -270,27 +258,6 @@ def realize(sequence, file_, fmt):
         sys.stdout.flush()  # ahead of a later literal's error on stderr
 
 
-def _trace_text(
-    start: LandauSequence, end: LandauSequence, pairs: Iterator, scores: List[int]
-) -> Iterator[str]:
-    yield f"start: {start}\n"
-    for i, (low, high) in enumerate(pairs, start=1):
-        yield f"step {i}: low={low} high={high} -> {_seq_str(scores)}\n"
-    yield f"end: {end}\n"
-
-
-def _trace_json(
-    start: LandauSequence, end: LandauSequence, pairs: Iterator, scores: List[int]
-) -> Iterator[str]:
-    # the bytes json.dumps gives for {"start", "end", "steps"}, one step at a time
-    yield f'{{"start": {_json_ints(start)}, "end": {_json_ints(end)}, "steps": ['
-    sep = ""
-    for low, high in pairs:
-        yield f'{sep}{{"seq": {_json_ints(scores)}, "low": {low}, "high": {high}}}'
-        sep = ", "
-    yield "]}\n"
-
-
 @main.command()
 @click.argument("sequence", required=False)
 @click.option("--file", "file_", type=click.Path(exists=True, dir_okay=False))
@@ -304,7 +271,6 @@ def _trace_json(
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
 def trace(sequence, file_, algorithm, fmt):
     """Print the jump trace of one of the three algorithms."""
-    render = _trace_json if fmt == "json" else _trace_text
     for s in map(_require_valid, _inputs(sequence, file_)):
         steps = _walk_lengths(s)[algorithm.replace("-", "_")]
         if steps * s.n > TRACE_CAP:
@@ -320,7 +286,16 @@ def trace(sequence, file_, algorithm, fmt):
         # Tr_928, 107,416 steps in one chunk)
         positions = chain.from_iterable(walk(list(start.scores), list(end.scores)))
         scores = list(start.scores)
-        sys.stdout.writelines(render(start, end, _replayed(scores, jump, positions), scores))
+        if fmt == "json":  # the bytes json.dumps gives for {"start", "end", "steps"}
+            show, line, sep = _json_ints, '{{"seq": {seq}, "low": {lo}, "high": {hi}}}', ", "
+            head = f'{{"start": {show(start)}, "end": {show(end)}, "steps": ['
+            tail = "]}\n"
+        else:
+            show, line, sep = _seq_str, "step {i}: low={lo} high={hi} -> {seq}\n", ""
+            head, tail = f"start: {start}\n", f"end: {end}\n"
+        pairs = enumerate(_replayed(scores, jump, positions), start=1)
+        lines = (line.format(i=i, lo=lo, hi=hi, seq=show(scores)) for i, (lo, hi) in pairs)
+        sys.stdout.writelines(_pieces(head, lines, sep, tail))
         sys.stdout.flush()
 
 

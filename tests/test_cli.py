@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 import landau
 from landau.cli import (
-    _RENDERERS,
     REALIZE_CAP,
     REALIZE_JUMP_CAP,
     TOURNAMENT_FORMATS,
@@ -41,7 +40,7 @@ from landau.sequences import (
     up_trace,
     validate_landau,
 )
-from landau.tournaments import from_arcs, realize, score_sequence
+from landau.tournaments import from_arcs, score_sequence
 
 
 @pytest.fixture
@@ -55,6 +54,26 @@ def run(runner, *args):
 
 def invoke(runner, *args):
     return runner.invoke(main, args)
+
+
+def raw_writes(args):
+    """Each write that reaches the raw stream under stdout while the CLI runs
+    ``args``, through the buffered text layers a terminal or pipe has."""
+    writes = []
+
+    class Recorder(io.RawIOBase):
+        def writable(self):
+            return True
+
+        def write(self, data):
+            writes.append(bytes(data))
+            return len(data)
+
+    stdout = io.TextIOWrapper(io.BufferedWriter(Recorder()), encoding="utf-8")
+    with contextlib.redirect_stdout(stdout):
+        main.main(args, standalone_mode=False)
+    stdout.flush()
+    return writes
 
 
 class TestValidate:
@@ -182,30 +201,14 @@ class TestRealize:
     def test_writes_hold_a_buffer_plus_one_row(self, runner, pinned, fmt):
         # realize hands its rows to stdout as they are made; stdout's buffer,
         # not the output's size, bounds each write that reaches the stream
-        writes = []
-
-        class Recorder(io.RawIOBase):
-            def writable(self):
-                return True
-
-            def write(self, data):
-                writes.append(bytes(data))
-                return len(data)
-
-        stdout = io.TextIOWrapper(io.BufferedWriter(Recorder()), encoding="utf-8")
-        with contextlib.redirect_stdout(stdout):
-            main.main(["realize", "--file", pinned, "--format", fmt], standalone_mode=False)
-        stdout.flush()
-        output = invoke(runner, "realize", "--file", pinned, "--format", fmt).output
-        assert b"".join(writes).decode() == output
-        tournaments = [
-            realize(validate_landau([int(x) for x in line.split(",")]))
-            for line in Path(pinned).read_text().split()
-        ]
-        longest_row = max(len(row) for t in tournaments for row in _RENDERERS[fmt](t))
-        assert max(map(len, writes)) <= io.DEFAULT_BUFFER_SIZE + longest_row
-        if fmt == "json":  # the random n=200 tournament alone is about 240 KB
-            assert len(writes) > 3
+        args = ["realize", "--file", pinned, "--format", fmt]
+        writes = raw_writes(args)
+        assert b"".join(writes).decode() == invoke(runner, *args).output
+        n = max(len(line.split(",")) for line in Path(pinned).read_text().split())
+        # one row of n - 1 arcs in the widest format, dot's "  i -> j;\n"; it
+        # also covers the text and json heads, n scores of len(str(n)) digits
+        row = n * (2 * len(str(n)) + 8)
+        assert max(map(len, writes)) <= io.DEFAULT_BUFFER_SIZE + row
 
     @pytest.mark.parametrize("fmt", TOURNAMENT_FORMATS)
     def test_single_vertex(self, runner, fmt):
@@ -289,12 +292,15 @@ class TestRealize:
         assert result.stderr == "error: realized tournament does not have the given scores\n"
 
     # sha256 of the near-transitive (1, 1, 2, ..., 397, 398, 398) realized in
-    # each format, pinned when the rows were decoded bit by bit; CI checks
-    # the same bytes from a fresh process
+    # each format: arclist, matrix and dot pinned when the rows were decoded
+    # bit by bit, json and text when each format had a renderer of its own;
+    # CI checks the same bytes from a fresh process
     NEAR_TRANSITIVE_400_DIGESTS = {
         "arclist": "bb774456b7b9e8f637ea49f46dadec1fa7bcea9934d5965e51248edaf0b2f7a8",
         "matrix": "89e1a00e941050d37c41eccbe8654f7357bac12268ad9edbff75be6772ecd14b",
         "dot": "360b321207189f3e9a5b178b8dc4b37b1eaa69844d8828dcf15c5002908fe84e",
+        "json": "dfcbc24c9e64ed03251489ee87dbf31b9556d2653c9c8cbd6fa5168782b32e67",
+        "text": "d249157a621201f0be9a0672da7b0797a6a3c5579f2499c54fa1e5c66e943de7",
     }
 
     @pytest.mark.parametrize("fmt", list(NEAR_TRANSITIVE_400_DIGESTS))
@@ -522,6 +528,20 @@ class TestTrace:
         assert digest == self.DOWN_WALK_200_DIGESTS[algorithm, fmt]
         if fmt == "text":
             assert result.output.count("\n") == 4952
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_writes_hold_a_buffer_plus_one_step(self, runner, fmt):
+        # trace hands each step to stdout as it is replayed: the 4,950 steps
+        # of the down walk from Tr_200 are 3.6 MB of text, 4.6 MB of json,
+        # but stdout's buffer bounds each write that reaches the stream
+        n = 200
+        args = ["trace", "--algorithm", "down", "--format", fmt, str(transitive_sequence(n))]
+        writes = raw_writes(args)
+        assert b"".join(writes).decode() == run(runner, *args).output
+        # one json step, {"seq": [n scores], "low": l, "high": h}, the longer
+        # of the two formats' steps
+        step = n * (len(str(n)) + 2) + 2 * len(str(n)) + 30
+        assert max(map(len, writes)) <= io.DEFAULT_BUFFER_SIZE + step
 
 
 class TestEnumerate:
