@@ -4,7 +4,10 @@ Subcommands: validate, realize, trace, enumerate, compare.  Sequences are
 given as a comma- or whitespace-separated literal argument (one that starts
 with a minus sign, such as ``-1,1,3``, is a literal if it parses as one, and
 an unknown option otherwise), or one per line via --file for batch runs
-(UTF-8 text; a leading byte-order mark is skipped).
+(UTF-8 text; a leading byte-order mark is skipped).  Every sequence
+command declares that input once, with ``_sequence_input``, and reads it
+with ``_inputs``; every command but ``realize`` takes the one
+``--format text|json`` option, ``_text_or_json``.
 Results go to stdout, diagnostics to stderr.  Exit codes: 0 success, 1
 domain failure (invalid sequence, a cap exceeded: ``enumerate`` above its
 order limit, ``realize`` on more than ``REALIZE_CAP`` scores or more than
@@ -16,7 +19,9 @@ rendered from their bit rows.  Every output of ``realize`` (five formats)
 and ``trace`` (two) is a head, rows with a separator between them, and a
 tail, made by one writer, ``_pieces``, and handed to stdout one row or
 step at a time as it is made, so stdout's own buffer bounds the text held
-at once.
+at once.  Every one-record result (a ``validate`` or ``compare`` line,
+``enumerate --stats``) goes through one writer, ``_echo``: the record as
+a JSON line, or its text.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ from .sequences import (
     JumpAlgorithm,
     LandauSequence,
     _replayed,
+    _seq_str,
     _walk_plan,
     c_value,
     distance,
@@ -86,6 +92,25 @@ def _fail(message: str, code: int = 1) -> NoReturn:
     sys.exit(code)
 
 
+def _echo(fmt: str, record: dict, text: str) -> None:
+    """Write one result: ``record`` as a JSON line, or ``text``."""
+    click.echo(json.dumps(record) if fmt == "json" else text)
+
+
+#: The ``--format`` of every command but ``realize``.
+_text_or_json = click.option(
+    "--format", "fmt", type=click.Choice(["text", "json"]), default="text"
+)
+
+
+def _sequence_input(command):
+    """Declare the input that ``_inputs`` reads: a literal or ``--file``."""
+    command = click.option(
+        "--file", "file_", type=click.Path(exists=True, dir_okay=False)
+    )(command)
+    return click.argument("sequence", required=False)(command)
+
+
 def _inputs(sequence, file_) -> Iterator[Tuple[int, ...]]:
     """The scores of the literal, or of each non-blank line of the file.
 
@@ -119,10 +144,6 @@ def _require_valid(raw: Tuple[int, ...]) -> LandauSequence:
     if not isinstance(result, LandauSequence):
         _fail(f"invalid sequence: {result.message}")
     return result
-
-
-def _seq_str(scores) -> str:
-    return ",".join(str(x) for x in scores)
 
 
 def _json_ints(scores: Sequence[int]) -> str:
@@ -162,10 +183,9 @@ main.command_class = _LiteralCommand
 
 
 @main.command()
-@click.argument("sequence", required=False)
-@click.option("--file", "file_", type=click.Path(exists=True, dir_okay=False))
+@_sequence_input
 @click.option("--strong", is_flag=True, help="Also require strict prefix sums.")
-@click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
+@_text_or_json
 def validate(sequence, file_, strong, fmt):
     """Check Landau's conditions (and strongness with --strong)."""
     failed = False
@@ -178,16 +198,9 @@ def validate(sequence, file_, strong, fmt):
             message = f"equality at k={k}"
         valid = message is None
         failed = failed or not valid
-        if fmt == "json":
-            click.echo(
-                json.dumps(
-                    {"sequence": list(raw), "valid": valid, "reason": message}
-                )
-            )
-        elif valid:
-            click.echo(f"{_seq_str(raw)}: valid")
-        else:
-            click.echo(f"{_seq_str(raw)}: invalid ({message})")
+        verdict = "valid" if valid else f"invalid ({message})"
+        record = {"sequence": list(raw), "valid": valid, "reason": message}
+        _echo(fmt, record, f"{_seq_str(raw)}: {verdict}")
     sys.exit(1 if failed else 0)
 
 
@@ -232,8 +245,7 @@ TOURNAMENT_FORMATS = tuple(_RENDERERS)
 
 
 @main.command()
-@click.argument("sequence", required=False)
-@click.option("--file", "file_", type=click.Path(exists=True, dir_okay=False))
+@_sequence_input
 @click.option("--format", "fmt", type=click.Choice(TOURNAMENT_FORMATS), default="text")
 def realize(sequence, file_, fmt):
     """Construct a tournament realizing the given score sequence."""
@@ -259,8 +271,7 @@ def realize(sequence, file_, fmt):
 
 
 @main.command()
-@click.argument("sequence", required=False)
-@click.option("--file", "file_", type=click.Path(exists=True, dir_okay=False))
+@_sequence_input
 @click.option(
     "--algorithm",
     type=click.Choice([a.value for a in JumpAlgorithm]),
@@ -268,7 +279,7 @@ def realize(sequence, file_, fmt):
     help="down: jump to the regular sequence; gr-down: from the transitive "
     "sequence to the input; gr-up: jump to the transitive sequence.",
 )
-@click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
+@_text_or_json
 def trace(sequence, file_, algorithm, fmt):
     """Print the jump trace of one of the three algorithms."""
     for s in map(_require_valid, _inputs(sequence, file_)):
@@ -302,18 +313,14 @@ def trace(sequence, file_, algorithm, fmt):
 @main.command("enumerate")
 @click.argument("n", type=int)
 @click.option("--stats", "show_stats", is_flag=True)
-@click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
+@_text_or_json
 def enumerate_sequences(n, show_stats, fmt):
     """List all valid score sequences of order N, in total-order order."""
     try:
         if show_stats:
             fields = asdict(oracle.stats(n))
-            if fmt == "json":
-                click.echo(json.dumps(fields))
-            else:
-                for name, value in fields.items():
-                    if value is not None:
-                        click.echo(f"{name}={value}")
+            shown = [f"{k}={v}" for k, v in fields.items() if v is not None]
+            _echo(fmt, fields, "\n".join(shown))
         else:
             seqs = oracle.enumerate_landau_sequences(n)
             if fmt == "json":
@@ -326,21 +333,19 @@ def enumerate_sequences(n, show_stats, fmt):
 
 
 @main.command()
-@click.argument("sequence", required=False)
-@click.option("--file", "file_", type=click.Path(exists=True, dir_okay=False))
-@click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
+@_sequence_input
+@_text_or_json
 def compare(sequence, file_, fmt):
     """Jump counts of all three algorithms, with distances and 3-cycle count."""
     for s in map(_require_valid, _inputs(sequence, file_)):
         w = _walk_lengths(s)
-        if fmt == "json":
-            click.echo(json.dumps(dict(sequence=list(s.scores), **w)))
-        else:
-            click.echo(
-                f"sequence: {s}\ndown {w['down']}\ngr-down {w['gr_down']}\n"
-                f"gr-up {w['gr_up']}\nd(R,S)={w['d_regular']}\n"
-                f"d(Tr,S)={w['d_transitive']}\nc(S)={w['c']}"
-            )
+        _echo(
+            fmt,
+            dict(sequence=list(s.scores), **w),
+            f"sequence: {s}\ndown {w['down']}\ngr-down {w['gr_down']}\n"
+            f"gr-up {w['gr_up']}\nd(R,S)={w['d_regular']}\n"
+            f"d(Tr,S)={w['d_transitive']}\nc(S)={w['c']}",
+        )
 
 
 if __name__ == "__main__":

@@ -122,6 +122,11 @@ def first_violation(v: ScoreVector) -> Optional[ViolationReport]:
     return _violation(_int_scores(v))
 
 
+def _seq_str(scores: Iterable[int]) -> str:
+    """The comma form of a score list, the form a sequence literal takes."""
+    return ",".join(str(x) for x in scores)
+
+
 @dataclass(frozen=True, slots=True)
 class LandauSequence:
     """A non-decreasing integer tuple satisfying Landau's conditions.
@@ -162,7 +167,7 @@ class LandauSequence:
         return self.scores[i]
 
     def __str__(self) -> str:
-        return ",".join(str(s) for s in self.scores)
+        return _seq_str(self.scores)
 
 
 _set_scores = LandauSequence.scores.__set__

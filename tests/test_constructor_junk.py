@@ -425,6 +425,93 @@ class TestJumpTrace:
         assert result is None and isinstance(error, TypeError)
 
 
+def _trace_with_first_step(**fields):
+    t = TRACES[0]
+    steps = list(t.steps)
+    steps[0] = dataclasses.replace(steps[0], **fields)
+    return JumpTrace(t.start, t.end, steps)
+
+
+#: Each check the property tests above reach only by chance, as (build, the
+#: exact error type, a pattern its whole message matches).
+CHECKED_ERRORS = {
+    "not square": (
+        lambda: Tournament([[0, 1, 0]]),
+        ValueError,
+        "adjacency must be a square matrix",
+    ),
+    "no vertex": (
+        lambda: Tournament(np.zeros((0, 0), bool)),
+        ValueError,
+        "tournament needs at least one vertex",
+    ),
+    "self-loop": (
+        lambda: Tournament([[1, 1], [0, 0]]),
+        SelfLoopError,
+        "vertex beats itself",
+    ),
+    "double pair": (
+        lambda: Tournament([[0, 1], [1, 0]]),
+        DoublePairError,
+        "some pair is oriented both ways",
+    ),
+    "self-loop before double pair": (
+        lambda: Tournament([[1, 1, 1], [1, 0, 0], [0, 0, 0]]),
+        SelfLoopError,
+        "vertex beats itself",
+    ),
+    "double pair before missing pair": (
+        lambda: Tournament([[0, 1, 0], [1, 0, 0], [0, 0, 0]]),
+        DoublePairError,
+        "some pair is oriented both ways",
+    ),
+    "one-vertex path": (
+        lambda: VertexPath((0,)),
+        ValueError,
+        "path needs at least two vertices",
+    ),
+    "find_path out of range": (
+        lambda: find_path(rotational_regular(3), 0, 3),
+        ValueError,
+        "vertex out of range",
+    ),
+    "reverse_path of a tuple": (
+        lambda: reverse_path(rotational_regular(3), (0, 1)),
+        TypeError,
+        "path must be a VertexPath",
+    ),
+    "trace from a tuple": (
+        lambda: JumpTrace((0, 1, 2), regular_sequence(3), ()),
+        TypeError,
+        "start and end must be LandauSequences",
+    ),
+    "step algorithm as text": (
+        lambda: _trace_with_first_step(algorithm="down"),
+        TypeError,
+        "step algorithms must be JumpAlgorithms",
+    ),
+    "negative step position": (
+        lambda: _trace_with_first_step(low=-1),
+        ValueError,
+        "step positions must be positive ints: .+",
+    ),
+    "float step position": (
+        lambda: _trace_with_first_step(low=1.0),
+        ValueError,
+        "step positions must be positive ints: .+",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(CHECKED_ERRORS))
+def test_checked_error_type_and_message(case):
+    build, kind, message = CHECKED_ERRORS[case]
+    with pytest.raises(TYPED) as info:
+        build()
+    assert type(info.value) is kind
+    assert re.fullmatch(message, str(info.value)), str(info.value)
+
+
 #: Each function that reads a LandauSequence, as a function of it.
 SEQUENCE_READERS = {
     "down_trace": down_trace,
