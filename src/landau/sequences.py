@@ -77,9 +77,13 @@ def _int_scores(v: ScoreVector) -> tuple:
     return tuple(map(operator.index, scores))
 
 
-def _scores(v: ScoreVector) -> tuple:
-    """A sequence's scores as they are, or a raw vector read by ``_int_scores``."""
-    return v.scores if isinstance(v, LandauSequence) else _int_scores(v)
+def _score_pair(a: ScoreVector, b: ScoreVector) -> Tuple[tuple, tuple]:
+    """The scores of ``a`` and ``b``, a sequence's as they are and a raw
+    vector's read by ``_int_scores``; ``ValueError`` unless equally long."""
+    ta, tb = (v.scores if isinstance(v, LandauSequence) else _int_scores(v) for v in (a, b))
+    if len(ta) != len(tb):
+        raise ValueError("sequences must have equal length")
+    return ta, tb
 
 
 def _sequence(s: LandauSequence) -> LandauSequence:
@@ -248,10 +252,7 @@ def compare_order(a: ScoreVector, b: ScoreVector) -> Order:
     is read by its scores, any other vector by the score rule (``TypeError``
     for a bool or a non-integer entry).
     """
-    ta, tb = _scores(a), _scores(b)
-    if len(ta) != len(tb):
-        raise ValueError("sequences must have equal length")
-    ra, rb = ta[::-1], tb[::-1]
+    ra, rb = (t[::-1] for t in _score_pair(a, b))
     return Order((ra > rb) - (ra < rb))
 
 
@@ -262,10 +263,7 @@ def distance(a: ScoreVector, b: ScoreVector) -> int:
     score rule (``TypeError`` for a bool or a non-integer entry).  For
     vectors with equal totals the result is always even.
     """
-    ta, tb = _scores(a), _scores(b)
-    if len(ta) != len(tb):
-        raise ValueError("sequences must have equal length")
-    return sum(map(abs, map(operator.sub, ta, tb)))
+    return sum(map(abs, map(operator.sub, *_score_pair(a, b))))
 
 
 class JumpAlgorithm(enum.Enum):
@@ -661,8 +659,7 @@ def gr_down_step(u: LandauSequence, target: LandauSequence) -> JumpStep:
     u falls short of the target; gamma is the first position where u exceeds
     the target.  Position beta gains 1 and position gamma loses 1.
     """
-    if _sequence(u).n != _sequence(target).n:
-        raise ValueError("sequences must have equal length")
+    _score_pair(_sequence(u), _sequence(target))
     return _step(JumpAlgorithm.GR_DOWN, _gr_down_rule, u, target, Converged)
 
 

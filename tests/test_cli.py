@@ -161,14 +161,6 @@ class TestRealize:
         payload = json.loads(result.output)
         assert sorted(payload["scores"]) == [1, 1, 2, 3, 4, 5, 6, 6]
 
-    def test_transitive_300_arclist_digest(self, runner):
-        # the worst case of the replay (11,175 jumps, paths up to 252 arcs)
-        literal = ",".join(str(x) for x in range(300))
-        result = invoke(runner, "realize", literal, "--format", "arclist")
-        assert result.exit_code == 0
-        digest = hashlib.sha256(result.output.encode()).hexdigest()
-        assert digest == "168a318d98e555c89a8492cfacf68ef2a10e41c99eef6ff1165cdcf746415081"
-
     @pytest.fixture
     def pinned(self, tmp_path):
         # Tr_40, R_41, R_40 and the scores of a seeded random tournament, n=200
@@ -294,7 +286,8 @@ class TestRealize:
     # sha256 of the near-transitive (1, 1, 2, ..., 397, 398, 398) realized in
     # each format: arclist, matrix and dot pinned when the rows were decoded
     # bit by bit, json and text when each format had a renderer of its own;
-    # CI checks the same bytes from a fresh process
+    # TestNoNumpyOnTheCliPath checks that a fresh process writes the arclist's
+    # bytes too
     NEAR_TRANSITIVE_400_DIGESTS = {
         "arclist": "bb774456b7b9e8f637ea49f46dadec1fa7bcea9934d5965e51248edaf0b2f7a8",
         "matrix": "89e1a00e941050d37c41eccbe8654f7357bac12268ad9edbff75be6772ecd14b",
@@ -494,7 +487,8 @@ class TestTrace:
         walk.assert_not_called()
 
     # sha256 of the gr-up trace of R_101, whose cascades the up walk yields
-    # as whole chunks; CI checks the same bytes from a fresh process
+    # as whole chunks; TestNoNumpyOnTheCliPath checks that a fresh process
+    # writes a gr-up trace as the in-process call does
     R101_DIGESTS = {
         "json": "4f8c3c6d26ae3a39be101da7e1273ab415e2e1bfba628484e12f307a965af98b",
         "text": "dabe2aa788e55e89ce04f78f2150c8c89caa0a2bd32f57fca702ce76a1fa3065",
@@ -511,8 +505,8 @@ class TestTrace:
 
     # sha256 of the down trace of Tr_200 and the gr-down trace of R_200,
     # 4,950 steps each, taken while each down walk yielded its first step
-    # apart from the closed form of its rest; CI checks the same bytes from
-    # a fresh process
+    # apart from the closed form of its rest; TestNoNumpyOnTheCliPath checks
+    # that a fresh process writes the down json bytes too
     DOWN_WALK_200_DIGESTS = {
         ("down", "json"): "352ff78e0fd089e05bc7ca3f2c82f98de8b52429574ed7db7567783fe250e39a",
         ("down", "text"): "f682651fb0896c8c13b2ce82a076bae3712d3ff8457f399f69d3eb150f4fc7f3",
@@ -568,9 +562,6 @@ class TestEnumerate:
     N12_DIGESTS = {
         (): "4b690f60d7ef87d8db8a4001edac4203ce2bae84cfe10374d564ce29ec692f4e",
         ("--format", "json"): "9be547b9b3e7eaecfc5c30600c0987c7f1ab4177ae99f61d02c51ac67e0bb577",
-        ("--stats", "--format", "json"): (
-            "f2ebe5cc430c7ab3be9e312f5b05bdafad6b1cd6c542fa1d0586895ba0eb31fe"
-        ),
     }
 
     @pytest.mark.parametrize("extra", list(N12_DIGESTS))
@@ -588,7 +579,8 @@ class TestEnumerate:
 
     def test_stats_1_to_12_digest(self, runner):
         # the stats of every order, text then json, pinned while stats listed
-        # every sequence; CI checks the same bytes from a fresh process
+        # every sequence; TestNoNumpyOnTheCliPath checks that a fresh process
+        # writes stats as the in-process call does
         output = "".join(
             run(runner, "enumerate", str(n), "--stats", *extra).output
             for n in range(1, 13)
@@ -1020,21 +1012,47 @@ class TestNoNumpyOnTheCliPath:
         [
             *(["realize", "1,1,2,3,4,5,6,6", "--format", f] for f in TOURNAMENT_FORMATS),
             ["validate", "--strong", "1,1,2,3,4,5,6,6"],
+            ["validate", "--strong", "1,1,2,3,4,5,6,6", "--format", "json"],
+            ["validate", "--file", "batch.txt"],
             *(
                 ["trace", "1,1,2,3,4,5,6,6", "--algorithm", a]
                 for a in ("down", "gr-down", "gr-up")
             ),
+            ["trace", "1,1,2,3,4,5,6,6", "--algorithm", "gr-up", "--format", "json"],
             ["compare", "1,1,2,3,4,5,6,6"],
+            ["compare", "1,1,2,3,4,5,6,6", "--format", "json"],
             ["enumerate", "5"],
+            ["enumerate", "5", "--format", "json"],
             ["enumerate", "5", "--stats"],
+            ["enumerate", "5", "--stats", "--format", "json"],
+            pytest.param(
+                [
+                    "realize",
+                    "--format",
+                    "arclist",
+                    _ints_literal([1, 1, *range(2, 398), 398, 398]),
+                ],
+                id="realize --format arclist near-transitive-400",
+            ),
+            pytest.param(
+                ["trace", "--format", "json", str(transitive_sequence(200))],
+                id="trace --format json Tr_200",
+            ),
         ],
         ids=" ".join,
     )
-    def test_command_runs_without_numpy(self, args):
+    def test_command_runs_without_numpy(self, runner, tmp_path, monkeypatch, args):
+        # the fresh interpreter must also write what the in-process call
+        # writes, byte for byte, with the same exit code; the batch holds a
+        # valid literal and one of each violation, so it exits 1
+        monkeypatch.chdir(tmp_path)
+        Path("batch.txt").write_text("1,1,2,3,4,5,6,6\n-1,1,3\n2,1,0\n0,0,3\n1,1,2\n")
+        expected = invoke(runner, *args)
         result = _run_probe(_NUMPY_PROBE, *args)
-        assert result.returncode == 0, result.stderr
+        assert result.returncode == expected.exit_code, result.stderr
         assert result.stdout
-        assert result.stderr.endswith("numpy imported: False\n"), result.stderr
+        assert result.stdout == expected.stdout
+        assert result.stderr == expected.stderr + "numpy imported: False\n"
 
     def test_count_3cycles_runs_without_numpy(self):
         result = _run_probe(_LIBRARY_PROBE)

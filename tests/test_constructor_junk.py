@@ -36,6 +36,8 @@ from landau.sequences import (
     LandauSequence,
     ViolationReport,
     c_value,
+    compare_order,
+    distance,
     down_jump_step,
     down_trace,
     first_equality_index,
@@ -432,8 +434,9 @@ def _trace_with_first_step(**fields):
     return JumpTrace(t.start, t.end, steps)
 
 
-#: Each check the property tests above reach only by chance, as (build, the
-#: exact error type, a pattern its whole message matches).
+#: Each check that no other test pins by its message (the property tests above
+#: reach most of them only by chance), as (build, the exact error type, a
+#: pattern its whole message matches).
 CHECKED_ERRORS = {
     "not square": (
         lambda: Tournament([[0, 1, 0]]),
@@ -499,6 +502,21 @@ CHECKED_ERRORS = {
         lambda: _trace_with_first_step(low=1.0),
         ValueError,
         "step positions must be positive ints: .+",
+    ),
+    "compare_order of unequal lengths": (
+        lambda: compare_order((0, 1, 2), regular_sequence(4)),
+        ValueError,
+        "sequences must have equal length",
+    ),
+    "distance of unequal lengths": (
+        lambda: distance(transitive_sequence(3), [1, 1, 2, 2]),
+        ValueError,
+        "sequences must have equal length",
+    ),
+    "gr_down_step of unequal lengths": (
+        lambda: gr_down_step(regular_sequence(3), transitive_sequence(4)),
+        ValueError,
+        "sequences must have equal length",
     ),
 }
 
