@@ -566,7 +566,6 @@ def _up_walk(a: List[int], target: List[int]) -> Iterator[array]:
             run.append(k)
             run.append(h + j - x)
             run += cascades[base : 2 * (n - x)]
-        a[k - 1] = v
         a[j - 1 : j + big - 1] = range(lowest - 1, lowest + big - 1)
         a[h - big : h] = repeat(v + 1, big)
         yield run

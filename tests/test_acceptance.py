@@ -10,7 +10,6 @@ from itertools import combinations_with_replacement
 from math import comb
 
 import numpy as np
-import pytest
 
 from landau.oracle import (
     enumerate_landau_sequences,

@@ -312,19 +312,8 @@ class TestDownJump:
         with pytest.raises(AlreadyRegular):
             down_jump_step(seq(3, 3, 3, 3, 4, 4, 4, 4))
 
-    def test_paper_worked_trace(self):
-        trace = down_trace(seq(1, 1, 2, 3, 4, 5, 6, 6))
-        assert len(trace) == 5
-        assert trace.end.scores == (3, 3, 3, 3, 4, 4, 4, 4)
-
     def test_regular_gives_empty_trace(self):
         assert len(down_trace(regular_sequence(9))) == 0
-
-    def test_transitive_7_trace_length(self):
-        # d(R_7, Tr_7)/2 = (n^2 - 1)/8 = 6
-        trace = down_trace(transitive_sequence(7))
-        assert len(trace) == 6
-        assert len(trace) == distance(transitive_sequence(7), regular_sequence(7)) // 2
 
     def test_steps_chain(self):
         trace = down_trace(seq(0, 1, 2, 3, 4, 5))
@@ -348,17 +337,8 @@ class TestGrDownJump:
         with pytest.raises(Converged):
             gr_down_step(s, s)
 
-    def test_paper_trace_length(self):
-        trace = gr_down_trace(seq(2, 2, 2, 3, 3, 3))
-        assert len(trace) == 3
-        assert trace.start.scores == (0, 1, 2, 3, 4, 5)
-
     def test_transitive_target_gives_empty_trace(self):
         assert len(gr_down_trace(transitive_sequence(8))) == 0
-
-    def test_two_step_example(self):
-        # d(Tr_6, (1,1,1,4,4,4))/2 = 2
-        assert len(gr_down_trace(seq(1, 1, 1, 4, 4, 4))) == 2
 
 
 class TestUpJump:
@@ -376,29 +356,11 @@ class TestUpJump:
         with pytest.raises(AlreadyTransitive):
             up_step(transitive_sequence(6))
 
-    def test_paper_worked_trace(self):
-        trace = up_trace(seq(1, 1, 3, 3, 3, 4))
-        assert len(trace) == 5
-        assert [s.scores for s in trace.sequences()] == [
-            (1, 1, 3, 3, 3, 4),
-            (0, 2, 3, 3, 3, 4),
-            (0, 2, 2, 3, 4, 4),
-            (0, 1, 3, 3, 4, 4),
-            (0, 1, 2, 4, 4, 4),
-            (0, 1, 2, 3, 4, 5),
-        ]
-
-    def test_nearly_regular_8_needs_20_jumps(self):
-        assert len(up_trace(seq(3, 3, 3, 3, 4, 4, 4, 4))) == 20
-
     def test_transitive_gives_empty_trace(self):
         assert len(up_trace(transitive_sequence(5))) == 0
 
 
 class TestCountsAndBounds:
-    def test_c_value_nearly_regular_8(self):
-        assert c_value(seq(3, 3, 3, 3, 4, 4, 4, 4)) == 20
-
     @pytest.mark.parametrize("n", range(1, 11))
     def test_c_value_transitive_is_zero(self, n):
         assert c_value(transitive_sequence(n)) == 0
@@ -420,8 +382,9 @@ class TestCountsAndBounds:
         assert max_down_jumps(n) == d // 2
 
 
-# The step and trace functions as they were before the shared walk engine,
-# kept verbatim as the reference the engine is compared against.
+# The step functions as they were before the shared walk engine, kept
+# verbatim as the reference the walks and step functions are compared against.
+# ``_reference_chain`` walks each of them from a start to an end.
 
 
 def _reference_down_jump_step(s: LandauSequence) -> JumpStep:
@@ -439,17 +402,6 @@ def _reference_down_jump_step(s: LandauSequence) -> JumpStep:
     after[p - 1] += 1
     after[q - 1] -= 1
     return JumpStep(s, LandauSequence(tuple(after)), p, q, JumpAlgorithm.DOWN)
-
-
-def _reference_down_trace(s: LandauSequence) -> JumpTrace:
-    steps = []
-    cur = s
-    target = regular_sequence(s.n)
-    while cur.scores != target.scores:
-        step = _reference_down_jump_step(cur)
-        steps.append(step)
-        cur = step.after
-    return JumpTrace(s, cur, tuple(steps))
 
 
 def _reference_gr_down_step(u: LandauSequence, target: LandauSequence) -> JumpStep:
@@ -470,17 +422,6 @@ def _reference_gr_down_step(u: LandauSequence, target: LandauSequence) -> JumpSt
     return JumpStep(u, LandauSequence(tuple(after)), beta, gamma, JumpAlgorithm.GR_DOWN)
 
 
-def _reference_gr_down_trace(target: LandauSequence) -> JumpTrace:
-    steps = []
-    cur = transitive_sequence(target.n)
-    start = cur
-    while cur.scores != target.scores:
-        step = _reference_gr_down_step(cur, target)
-        steps.append(step)
-        cur = step.after
-    return JumpTrace(start, cur, tuple(steps))
-
-
 def _reference_up_step(s: LandauSequence) -> JumpStep:
     t = s.scores
     n = len(t)
@@ -494,49 +435,47 @@ def _reference_up_step(s: LandauSequence) -> JumpStep:
     return JumpStep(s, LandauSequence(tuple(after)), k, k + m - 1, JumpAlgorithm.GR_UP)
 
 
-def _reference_up_trace(s: LandauSequence) -> JumpTrace:
-    steps = []
-    cur = s
-    target = transitive_sequence(s.n)
-    while cur.scores != target.scores:
-        step = _reference_up_step(cur)
-        steps.append(step)
-        cur = step.after
-    return JumpTrace(s, cur, tuple(steps))
+def _reference_chain(step_fn, start: LandauSequence, end: LandauSequence) -> tuple:
+    """The steps of a walk from ``start`` to ``end``, one reference step at a time."""
+    steps, cur = [], start
+    while cur != end:
+        steps.append(step_fn(cur))
+        cur = steps[-1].after
+    return tuple(steps)
 
 
-def _fields(st: JumpStep):
-    return st.low, st.high, st.before, st.after, st.algorithm
+def _walks(s: LandauSequence):
+    """(trace, step, reference step, start, end) of the three walks of ``s``."""
+    r, tr = regular_sequence(s.n), transitive_sequence(s.n)
+    return [
+        (down_trace, down_jump_step, _reference_down_jump_step, s, r),
+        (
+            gr_down_trace,
+            lambda u: gr_down_step(u, s),
+            lambda u: _reference_gr_down_step(u, s),
+            tr,
+            s,
+        ),
+        (up_trace, up_step, _reference_up_step, s, tr),
+    ]
 
 
 def _outcome(step_fn, *args):
-    """A step's fields, or the type of what it raised."""
+    """A step, or the type of what it raised."""
     try:
-        return _fields(step_fn(*args))
+        return step_fn(*args)
     except Exception as exc:
         return type(exc)
 
 
 def _assert_walks_match(s: LandauSequence) -> None:
-    walks = [
-        (down_trace, down_jump_step, _reference_down_trace, _reference_down_jump_step),
-        (
-            gr_down_trace,
-            lambda u: gr_down_step(u, s),
-            _reference_gr_down_trace,
-            lambda u: _reference_gr_down_step(u, s),
-        ),
-        (up_trace, up_step, _reference_up_trace, _reference_up_step),
-    ]
-    for trace, step, reference_trace, reference_step in walks:
-        expected = reference_trace(s)
-        # one step at a time along the reference walk first, so a wrong rule
+    for trace, step, reference_step, start, end in _walks(s):
+        steps = _reference_chain(reference_step, start, end)
+        # one step at a time along the reference chain first, so a wrong rule
         # fails at its first wrong step instead of walking without end
-        for u in expected.sequences():
+        for u in (start, *(st.after for st in steps)):
             assert _outcome(step, u) == _outcome(reference_step, u), (trace, s, u)
-        got = trace(s)
-        assert (got.start, got.end) == (expected.start, expected.end)
-        assert list(map(_fields, got.steps)) == list(map(_fields, expected.steps))
+        assert trace(s) == JumpTrace(start, end, steps), (trace, s)
 
 
 @st.composite
@@ -591,27 +530,11 @@ class TestWalkEngineAgainstReference:
             gr_down_step(seq(0, 1), seq(1, 1, 1))
 
 
-def _reference_chain(step_fn, start: LandauSequence, end: LandauSequence) -> tuple:
-    """The steps of a walk from ``start`` to ``end``, one reference step at a time."""
-    steps, cur = [], start
-    while cur != end:
-        steps.append(step_fn(cur))
-        cur = steps[-1].after
-    return tuple(steps)
-
-
 def _reference_walks(s: LandauSequence):
     """(trace, start, end, reference steps) of the three walks of ``s``."""
-    r, tr = regular_sequence(s.n), transitive_sequence(s.n)
     return [
-        (down_trace(s), s, r, _reference_chain(_reference_down_jump_step, s, r)),
-        (
-            gr_down_trace(s),
-            tr,
-            s,
-            _reference_chain(lambda u: _reference_gr_down_step(u, s), tr, s),
-        ),
-        (up_trace(s), s, tr, _reference_chain(_reference_up_step, s, tr)),
+        (trace(s), start, end, _reference_chain(reference_step, start, end))
+        for trace, _, reference_step, start, end in _walks(s)
     ]
 
 
@@ -621,12 +544,15 @@ def _first_where(flags) -> int:
     return flags.index(True) + 1 if True in flags else len(flags) + 1
 
 
-def _assert_resumed_scans_hold(s: LandauSequence) -> None:
-    """The facts the gr-down and up walks' resumed scans rely on, read off
-    the reference chains: along the gr-down walk to ``s`` no position becomes
-    short of ``s`` or above it, so the first short position (alpha) and the
-    first excess position (gamma) never decrease; along the up walk, k (the
-    first position of a repeated value) never drops by more than one."""
+def _assert_walk_invariants_hold(s: LandauSequence) -> None:
+    """The facts the comments on ``_gr_down_walk`` and ``_up_walk`` rely on,
+    read off the reference chains.  Along the gr-down walk to ``s`` no
+    position becomes short of ``s`` or above it, so the first short position
+    (alpha) and the first excess position (gamma, each step's high) never
+    decrease: the raises follow from a forward scan for alpha, and the lowers
+    take the excess positions in ascending order.  Along the up walk the low
+    position drops by at most one from a step to the next, as each cascade
+    steps down one position at a time from the run's k."""
     tr = transitive_sequence(s.n)
     chain = _reference_chain(lambda u: _reference_gr_down_step(u, s), tr, s)
     seen_alpha = seen_gamma = 0
@@ -645,16 +571,16 @@ def _assert_resumed_scans_hold(s: LandauSequence) -> None:
     assert all(k >= prev - 1 for prev, k in zip(ks, ks[1:])), (s, ks)
 
 
-class TestResumedScanInvariants:
+class TestWalkInvariants:
     @pytest.mark.parametrize("n", range(1, 10))
     def test_every_sequence_up_to_9(self, n):
         for s in enumerate_landau_sequences(n):
-            _assert_resumed_scans_hold(s)
+            _assert_walk_invariants_hold(s)
 
     @settings(max_examples=40, deadline=None)
     @given(valid_sequences())
     def test_drawn_sequences_up_to_40(self, s):
-        _assert_resumed_scans_hold(s)
+        _assert_walk_invariants_hold(s)
 
 
 def _assert_chunks_follow_reference(walk, start, end, steps) -> list:

@@ -5,7 +5,6 @@ from typing import List, Optional
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from landau import tournaments
 from landau.oracle import enumerate_tournaments, reachability, three_cycles
@@ -37,6 +36,7 @@ from landau.tournaments import (
     score_sequence,
     strong_components,
 )
+from test_sequences import valid_sequences
 
 
 def three_cycle():
@@ -485,19 +485,6 @@ def _realize_with_reference(s: LandauSequence):
     return stages[-1], stages
 
 
-@st.composite
-def valid_sequences(draw):
-    """Sorted scores of a drawn tournament on up to 30 vertices."""
-    n = draw(st.integers(min_value=1, max_value=30))
-    pairs = n * (n - 1) // 2
-    upper = np.zeros((n, n), dtype=bool)
-    upper[np.triu_indices(n, 1)] = draw(
-        st.lists(st.booleans(), min_size=pairs, max_size=pairs)
-    )
-    adj = upper | (~(upper | upper.T) & np.tri(n, n, -1, dtype=bool))
-    return LandauSequence(tuple(sorted(int(x) for x in adj.sum(axis=1))))
-
-
 class TestShortestPathAgainstReference:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_every_pair_of_every_small_tournament(self, n):
@@ -574,7 +561,7 @@ class TestShortestPathAgainstReference:
         assert not bad, bad
 
     @settings(max_examples=60, deadline=None)
-    @given(valid_sequences())
+    @given(valid_sequences(max_n=30))
     def test_realize_matches_reference_replay(self, s):
         expected, expected_stages = _realize_with_reference(s)
         assert realize(s) == expected
