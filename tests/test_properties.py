@@ -24,11 +24,6 @@ from landau.sequences import (
     validate_strong_landau,
 )
 
-all_small_sequences = [
-    s for n in range(1, 9) for s in enumerate_landau_sequences(n)
-]
-nontrivial = [s for s in all_small_sequences if s.n >= 2]
-
 
 @st.composite
 def equal_sum_pairs(draw):
@@ -45,35 +40,46 @@ def test_distance_parity_for_equal_sums(pair):
     assert distance(a, b) % 2 == 0
 
 
-@given(st.sampled_from([s for s in nontrivial if s != regular_sequence(s.n)]))
-def test_down_step_closure_progress_and_order(s):
-    step = down_jump_step(s)
-    r = regular_sequence(s.n)
-    assert first_violation(step.after.scores) is None
-    assert distance(step.after, r) == distance(s, r) - 2
-    assert distance(step.before, step.after) == 2
-    assert compare_order(step.after, s) is Order.LESS
+@pytest.mark.parametrize("n", range(3, 10))
+def test_down_step_closure_progress_and_order(n):
+    r = regular_sequence(n)
+    for s in enumerate_landau_sequences(n):
+        if s == r:
+            continue
+        step = down_jump_step(s)
+        assert first_violation(step.after.scores) is None
+        assert distance(step.after, r) == distance(s, r) - 2
+        assert distance(step.before, step.after) == 2
+        assert compare_order(step.after, s) is Order.LESS
 
 
-@given(st.sampled_from([s for s in nontrivial if s != transitive_sequence(s.n)]))
-def test_up_step_closure_and_order(s):
-    step = up_step(s)
-    assert first_violation(step.after.scores) is None
-    assert compare_order(step.after, s) is Order.GREATER
+@pytest.mark.parametrize("n", range(3, 10))
+def test_up_step_closure_and_order(n):
+    tr = transitive_sequence(n)
+    for s in enumerate_landau_sequences(n):
+        if s == tr:
+            continue
+        step = up_step(s)
+        assert first_violation(step.after.scores) is None
+        assert compare_order(step.after, s) is Order.GREATER
 
 
-@given(st.sampled_from([s for s in nontrivial if s != transitive_sequence(s.n)]))
-def test_gr_down_step_from_transitive(s):
-    step = gr_down_step(transitive_sequence(s.n), s)
-    assert first_violation(step.after.scores) is None
-    assert compare_order(step.after, transitive_sequence(s.n)) is Order.LESS
+@pytest.mark.parametrize("n", range(3, 10))
+def test_gr_down_step_from_transitive(n):
+    tr = transitive_sequence(n)
+    for s in enumerate_landau_sequences(n):
+        if s == tr:
+            continue
+        step = gr_down_step(tr, s)
+        assert first_violation(step.after.scores) is None
+        assert compare_order(step.after, tr) is Order.LESS
 
 
-@given(st.sampled_from(all_small_sequences))
-def test_strong_tail_of_down_trace(s):
-    trace = down_trace(s)
-    for step in trace.steps:
-        assert validate_strong_landau(step.after)
+@pytest.mark.parametrize("n", range(1, 11))
+def test_strong_tail_of_down_trace(n):
+    for s in enumerate_landau_sequences(n):
+        for step in down_trace(s).steps:
+            assert validate_strong_landau(step.after)
 
 
 @pytest.mark.parametrize("n", range(1, 8))

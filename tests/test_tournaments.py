@@ -12,6 +12,7 @@ from landau.sequences import (
     LandauSequence,
     c_value,
     down_trace,
+    first_equality_index,
     regular_sequence,
     transitive_sequence,
 )
@@ -255,6 +256,14 @@ class TestStrongComponents:
     def test_matches_reachability_on_every_small_tournament(self, n):
         for t in enumerate_tournaments(n):
             assert strong_components(t).components == _components_by_reachability(t)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_first_equality_index_is_the_terminal_component_size(self, n):
+        # the terminal component's vertices reach the fewest vertices
+        for t in enumerate_tournaments(n):
+            least = int(reachability(t).sum(axis=1).min())
+            expected = None if least == n else least
+            assert first_equality_index(score_sequence(t)) == expected
 
     @pytest.mark.parametrize("n", [7, 10, 20, 40])
     @pytest.mark.parametrize("p", [0.03, 0.15, 0.5, 0.85, 0.97])
