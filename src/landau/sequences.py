@@ -430,15 +430,13 @@ class JumpTrace:
 # closed form is read off the target's values, and ``_closed_form`` raises if
 # the raises and the lowers it pairs differ in number.  The step functions
 # share no code with the walks: each reads its step off the algorithm's rule.
-def _closed_form(
-    raises: Callable, lowers: Callable, a: List[int], target: List[int]
-) -> Iterator[array]:
+def _closed_form(lowers: Callable, a: List[int], target: List[int]) -> Iterator[array]:
     """A down walk as one chunk: the flat positions lows[0], highs[0],
-    lows[1], highs[1], ... of the arrays ``raises(a, target)`` and
+    lows[1], highs[1], ... of the arrays ``_raises(a, target)`` and
     ``lowers(a, target)`` of its raised and lowered positions.  The raises
     are spread into the chunk and freed before ``lowers`` is called, so at
     most 12 bytes a step are held."""
-    raised = raises(a, target)
+    raised = _raises(a, target)
     pairs = raised * 2
     pairs[0::2] = raised
     del raised
@@ -453,23 +451,32 @@ def _closed_form(
         yield pairs
 
 
-# The down walk raises the last position of the minimum's run and lowers the
-# first position of the maximum's run.  Before the end the maximum exceeds the
-# minimum by at least 2 (a sorted sequence with max - min <= 1 and the total
-# C(n,2) is R_n), so no position is ever both raised and lowered: a raised
-# position joins the run above it and a lowered one the run below it.  So the
-# runs' ends in the start give every step.
-def _down_walk(a: List[int], target: List[int]) -> Iterator[array]:
-    return _closed_form(_down_raises, _down_lowers, a, target)
-
-
-def _down_raises(a: List[int], target: List[int]) -> array:
-    """The minimum v runs from a[0] up to target[-1] - 1 and raises the
-    positions bisect_right(a, v) down to bisect_right(target, v) + 1."""
+# Both down walks raise the last position of the run of the lowest value v
+# still short of the target, and differ only in the position they lower.  That
+# position's target is at least the first short position's, more than v, so
+# the raise stops at the target; a lower stops at the target too.  So the
+# lowers never change which positions are short or what they hold.  Nor do
+# they move the end of v's run: a position before the first short one holds
+# at most v, and an excess one past it more than its target > v, before and
+# after it is lowered.  So the raises never depend on the lowers, and round v
+# raises exactly the positions whose start is at most v and whose target
+# exceeds v, last first.
+def _raises(a: List[int], target: List[int]) -> array:
+    """Round v runs from a[0] up to target[-1] - 1 and raises the positions
+    bisect_right(a, v) down to bisect_right(target, v) + 1."""
     lows = array("I")
     for v in range(a[0], target[-1]):
         lows.extend(range(bisect_right(a, v), bisect_right(target, v), -1))
     return lows
+
+
+# The down walk raises the last position of the minimum's run and lowers the
+# first position of the maximum's run.  Before the end the first is short of
+# R_n and the second above it: otherwise the list would lie on one side of
+# R_n, whose values differ by at most 1, position by position, with the same
+# total C(n,2).  So the minimum is the lowest short value.
+def _down_walk(a: List[int], target: List[int]) -> Iterator[array]:
+    return _closed_form(_down_lowers, a, target)
 
 
 def _down_lowers(a: List[int], target: List[int]) -> array:
@@ -481,34 +488,10 @@ def _down_lowers(a: List[int], target: List[int]) -> array:
     return highs
 
 
-# alpha is the first position short of the target and gamma the first above
-# it (0-based here).  A step raises beta to at most target[beta], since
-# a[beta] = a[alpha] < target[alpha] <= target[beta], and lowers gamma to at
-# least target[gamma].  So no position becomes short of the target or above
-# it, and the lowers never move bisect_right(a, a[alpha]): a position before
-# alpha holds at most a[alpha], and an excess one past it more than
-# target[alpha] > a[alpha], before and after it is lowered.  So the raises
-# follow from the list without the lowers, and the lowers from the excess of
-# each position, which the raises never touch.
+# The Griggs-Reid down walk raises the last position of the run of the first
+# short position's value, and lowers the first position above its target.
 def _gr_down_walk(a: List[int], target: List[int]) -> Iterator[array]:
-    return _closed_form(_gr_down_raises, _gr_down_lowers, a, target)
-
-
-def _gr_down_raises(a: List[int], target: List[int]) -> array:
-    """The raises come in blocks: with v = a[alpha] and r = bisect_right(a,
-    v), a block raises the run's positions r, r - 1, ..., alpha + 1 (1-based)
-    to v + 1, and then alpha moves past the positions that are now at
-    target.  ``a`` is left with its short positions at target."""
-    n, alpha, lows = len(a), 0, array("I")
-    while True:
-        while alpha < n and a[alpha] >= target[alpha]:
-            alpha += 1
-        if alpha == n:
-            return lows
-        v = a[alpha]
-        r = bisect_right(a, v)
-        lows.extend(range(r, alpha, -1))
-        a[alpha:r] = repeat(v + 1, r - alpha)
+    return _closed_form(_gr_down_lowers, a, target)
 
 
 def _gr_down_lowers(a: List[int], target: List[int]) -> array:
@@ -665,10 +648,10 @@ def gr_down_step(u: LandauSequence, target: LandauSequence) -> JumpStep:
 def gr_down_trace(target: LandauSequence) -> JumpTrace:
     """Jump down from the transitive sequence to ``target``; d(Tr, target)/2 steps.
 
-    The walk is read off in closed form: O(n) Python work, one bisect per
-    block of raised positions, and C-level array work per step.  Unlike
-    ``landau trace`` the walk has no cap; the trace holds 8 bytes a step,
-    and 12 while the closed form is built.
+    The walk is read off in closed form: the raises of ``down_trace``, one
+    bisect per value they pass, O(n) Python work for the lowers, and C-level
+    array work per step.  Unlike ``landau trace`` the walk has no cap; the
+    trace holds 8 bytes a step, and 12 while the closed form is built.
     """
     return _trace(JumpAlgorithm.GR_DOWN, target)
 

@@ -35,6 +35,7 @@ from .sequences import (
     _cyclic_triples,
     _order,
     _prefix_equalities,
+    _sequence,
     down_trace,
     regular_sequence,
     validate_landau,
@@ -506,19 +507,17 @@ def realize(s: LandauSequence) -> Tournament:
     return Tournament._trusted(rows)
 
 
-def realize_stages(s: LandauSequence) -> List[Tournament]:
-    """All intermediate tournaments of :func:`realize`, regular end first.
+def realize_stages(s: LandauSequence) -> Iterator[Tournament]:
+    """The intermediate tournaments of :func:`realize`, regular end first.
 
-    The returned list runs from the starting regular/nearly-regular
-    tournament down to the realization of ``s``; every entry except possibly
-    the last is strong.  Each stage is a tuple of the replay's rows, which
-    shares the row ints a reversal left alone, so it costs n references
-    plus the rows its path rewrote: about n^3 bytes in all at Tr_n, whose
-    replay takes n^2/8 jumps.  Measured tracemalloc peaks: Tr_150, 2,776
-    stages, 4.1 MB; Tr_300, 11,176 stages, 30.7 MB.  Tr_1000 would take
-    about 1 GB (arithmetic, not run).
+    The returned iterator runs from the starting regular/nearly-regular
+    tournament down to the realization of ``s``; every stage except possibly
+    the last is strong.  It is an iterator, no longer a list: each stage is
+    made as the replay reaches it, so a caller that reads one stage at a
+    time holds one stage at a time, and ``list(realize_stages(s))`` holds
+    them all.  ``s`` is checked at the call, not at the first stage.
     """
-    return [Tournament._trusted(rows) for rows in _replay(s)]
+    return map(Tournament._trusted, _replay(_sequence(s)))
 
 
 def count_3cycles(t: Tournament) -> int:

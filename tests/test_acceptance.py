@@ -60,7 +60,7 @@ def test_criterion_1_exhaustive_landau_equivalence():
 def test_criterion_2_realization_with_strong_intermediates():
     for n in range(1, 11):
         for s in enumerate_landau_sequences(n):
-            stages = realize_stages(s)
+            stages = list(realize_stages(s))
             assert score_sequence(stages[-1]) == s
             for t in stages[:-1]:
                 assert reachability(t).all()

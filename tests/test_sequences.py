@@ -487,6 +487,20 @@ def valid_sequences(draw, max_n=40):
     upper[np.triu_indices(n, 1)] = draw(
         st.lists(st.booleans(), min_size=pairs, max_size=pairs)
     )
+    return _sorted_scores(upper)
+
+
+def _drawn_scores(n: int, seed: int) -> LandauSequence:
+    """Sorted scores of a tournament on ``n`` vertices, each arc a fair coin
+    drawn from ``seed``."""
+    coins = np.random.default_rng(seed).random((n, n)) < 0.5
+    return _sorted_scores(np.triu(coins, k=1))
+
+
+def _sorted_scores(upper: np.ndarray) -> LandauSequence:
+    """Sorted scores of the tournament in which i < j beats j iff
+    ``upper[i, j]``."""
+    n = len(upper)
     adj = upper | (~(upper | upper.T) & np.tri(n, n, -1, dtype=bool))
     return LandauSequence(tuple(sorted(int(x) for x in adj.sum(axis=1))))
 
@@ -519,10 +533,7 @@ class TestWalkEngineAgainstReference:
     @pytest.mark.parametrize("n", [50, 64])
     def test_larger_regular_and_random_sequences(self, n):
         # long up walks, so the amortized scan for k restarts many times
-        upper = np.triu(np.random.default_rng(n).random((n, n)) < 0.5, k=1)
-        adj = upper | (~(upper | upper.T) & np.tri(n, n, -1, dtype=bool))
-        drawn = LandauSequence(tuple(sorted(int(x) for x in adj.sum(axis=1))))
-        for s in (regular_sequence(n), drawn):
+        for s in (regular_sequence(n), _drawn_scores(n, seed=n)):
             _assert_walks_match(s)
 
     def test_gr_down_step_rejects_length_mismatch(self):
@@ -692,6 +703,14 @@ class TestClosedFormWalks:
         _assert_gr_down_chunks_follow_reference(transitive_sequence(s.n), s)
         _assert_gr_down_chunks_follow_reference(s, regular_sequence(s.n))
 
+    @pytest.mark.parametrize("n", [40, 64, 300])
+    def test_gr_down_walk_between_drawn_sequences(self, n):
+        # the shared raises hold from any sorted start, not only Tr_n
+        u, s = _drawn_scores(n, seed=n), _drawn_scores(n, seed=n + 1)
+        assert u != s
+        _assert_gr_down_chunks_follow_reference(u, s)
+        _assert_gr_down_chunks_follow_reference(s, u)
+
     @pytest.mark.parametrize("n", [300, 301])
     def test_transitive_sequences(self, n):
         _assert_down_chunks_follow_reference(transitive_sequence(n))
@@ -699,12 +718,20 @@ class TestClosedFormWalks:
             transitive_sequence(n), regular_sequence(n)
         )
 
-    def test_unequal_raises_and_lowers_raise(self):
-        # a target one above the start's total: the closed form has two
-        # raises and one lower, which is an error, not a shorter walk
-        walk = _gr_down_walk([0, 1, 2, 3], [1, 2, 2, 2])
-        with pytest.raises(ValueError, match="raises 2 times but lowers 1 times"):
-            next(walk)
+    @pytest.mark.parametrize(
+        "walk, target, message",
+        [
+            (_gr_down_walk, [1, 2, 2, 2], "walk raises 2 times but lowers 1 times"),
+            (_down_walk, [1, 1, 2, 3], "walk raises 1 times but lowers 0 times"),
+        ],
+        ids=["gr-down", "down"],
+    )
+    def test_unequal_raises_and_lowers_raise(self, walk, target, message):
+        # a target one above the start's total: the closed form has one more
+        # raise than lowers, which is an error, not a shorter walk
+        steps = walk([0, 1, 2, 3], target)
+        with pytest.raises(ValueError, match=message):
+            next(steps)
 
 
 #: multi-step traces of all three walks, and the empty traces at n = 1 and 2

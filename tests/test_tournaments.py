@@ -377,7 +377,7 @@ class TestRealize:
 
     def test_stages_all_strong_except_possibly_last(self):
         s = LandauSequence((0, 1, 2, 3, 4, 5, 6, 7))
-        stages = realize_stages(s)
+        stages = list(realize_stages(s))
         assert len(stages) == 7  # max_down_jumps(8) + 1
         for t in stages[:-1]:
             assert is_strong(t)
@@ -545,7 +545,7 @@ class TestShortestPathAgainstReference:
         s = transitive_sequence(n)
         expected, expected_stages = _realize_with_reference(s)
         assert realize(s) == expected
-        assert realize_stages(s) == expected_stages
+        assert list(realize_stages(s)) == expected_stages
 
     @pytest.mark.parametrize("n", [40, 60, 80, 140])
     def test_realize_near_transitive_matches_reference_replay(self, n):
@@ -553,7 +553,7 @@ class TestShortestPathAgainstReference:
         s = LandauSequence((1, 1, *range(2, n - 2), n - 2, n - 2))
         expected, expected_stages = _realize_with_reference(s)
         assert realize(s) == expected
-        assert realize_stages(s) == expected_stages
+        assert list(realize_stages(s)) == expected_stages
 
     def test_level_beats_a_higher_in_neighbour_than_the_probe(self):
         # 5 -> 0 has no path of 1 or 2 arcs.  0's in-neighbours are 1, 2, 3;
@@ -574,7 +574,7 @@ class TestShortestPathAgainstReference:
     def test_realize_matches_reference_replay(self, s):
         expected, expected_stages = _realize_with_reference(s)
         assert realize(s) == expected
-        assert realize_stages(s) == expected_stages
+        assert list(realize_stages(s)) == expected_stages
 
 
 class TestRows:
@@ -645,7 +645,7 @@ class TestRowsAgreeWithAdjacency:
         ],
     )
     def test_realize_outputs(self, s):
-        for t in (realize(s), *realize_stages(s)[::7]):
+        for t in (realize(s), *list(realize_stages(s))[::7]):
             self.check(t)
 
     # 64, 65 and 127..129 put rows across word and byte boundaries
@@ -708,10 +708,24 @@ class TestRealizeStagesAreSnapshots:
         # show the last scores instead of its own
         steps = down_trace(s).steps
         expected = [steps[-1].after] + [st.before for st in reversed(steps)]
-        stages = realize_stages(s)
+        stages = list(realize_stages(s))
         assert [t._popcounts() for t in stages] == [list(e.scores) for e in expected]
         assert len(set(stages)) == len(stages)
         assert stages[-1] == realize(s)
+
+    def test_stages_read_one_at_a_time_hold_one_at_a_time(self):
+        # the 11,176 stages of Tr_300 held in one list peak near 30.7 MB
+        s = transitive_sequence(300)
+        expected = realize(s)
+        tracemalloc.start()
+        try:
+            for last in realize_stages(s):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert last == expected
 
 
 class TestCount3CyclesAgainstScores:
