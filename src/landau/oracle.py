@@ -3,8 +3,9 @@
 Exhaustively enumerates all valid score sequences for small n and all
 labeled tournaments for very small n, and computes reachability from the
 arcs alone, so every claim the fast algorithms make can be certified
-against an independent search.  ``stats`` aggregates over the same
-branching as the sequence enumeration without listing it.
+against an independent search.  ``stats`` counts over the same branching
+as the sequence enumeration without listing it, and reads its two maxima
+off the closed forms the tests certify against that listing.
 """
 
 from __future__ import annotations
@@ -13,14 +14,15 @@ from dataclasses import dataclass
 from functools import cache, lru_cache
 from itertools import combinations
 from math import comb
-from typing import TYPE_CHECKING, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Iterator, List, Optional
 
 from .sequences import (
     LandauSequence,
     ScoreVector,
     _int_scores,
     _order,
-    regular_sequence,
+    max_c_value,
+    max_down_jumps,
 )
 from .tournaments import Tournament, _matrix, _tournament
 
@@ -145,8 +147,10 @@ def three_cycles(t: Tournament) -> int:
 
 @dataclass(frozen=True)
 class EnumerationStats:
-    """Aggregate counts and maxima over the enumerated sequences of order n.
+    """The count of the sequences of order n and the two walks' worst cases.
 
+    ``max_trace_length`` is the longest down trace, d(R_n, Tr_n)/2, and
+    ``max_c`` the most 3-cycles, c(R_n), which is also the most up steps.
     ``realizable_count`` is only available within the tournament cap and, by
     Landau's theorem, always equals ``sequence_count`` there.
     """
@@ -159,34 +163,26 @@ class EnumerationStats:
 
 
 def stats(n: int) -> EnumerationStats:
-    """Aggregate trace lengths and 3-cycle counts over the sequences of order n.
+    """Count the sequences of order n; read the two maxima off closed forms.
 
     No sequence is listed.  One memoized recursion follows the enumeration's
     branching (``_values``) over its states (k, cap, rest), at most
     n * n * (C(n,2) + 1) of them, each trying at most n values, and returns
-    for positions 1..k the number of completions, the largest sum of
-    |x_i - r_i| against r = R_n and the smallest sum of C(x_i, 2).  Both sums
-    split by position, so the largest d(R_n, S) and the largest
-    c(S) = C(n,3) - sum C(s_i, 2) over the order are read off the start
-    state.  The longest down trace is the largest d(R_n, S)/2, its length by
-    the identity the tests certify against walked traces.  Only
-    ``realizable_count``, within the tournament cap, lists the sequences.
+    the number of completions of positions 1..k.  The longest down trace and
+    the most 3-cycles are ``max_down_jumps(n)`` and ``max_c_value(n)``;
+    tests/test_oracle.py certifies both against walked traces and against
+    3-cycles counted on the arcs, and against the listed sequences' largest
+    d(R_n, S)/2 and c(S).  Only ``realizable_count``, within the tournament
+    cap, lists the sequences.
     """
     n = _sequence_order(n)
-    r = regular_sequence(n).scores
 
     @cache
-    def branch(k: int, cap: int, rest: int) -> Tuple[int, int, int]:
+    def count(k: int, cap: int, rest: int) -> int:
         if k == 1:
-            return 1, abs(rest - r[0]), comb(rest, 2)
-        subs = [(x, *branch(k - 1, x, rest - x)) for x in _values(k, cap, rest)]
-        return (
-            sum(c for _, c, _, _ in subs),
-            max(d + abs(x - r[k - 1]) for x, _, d, _ in subs),
-            min(q + comb(x, 2) for x, _, _, q in subs),
-        )
+            return 1
+        return sum(count(k - 1, x, rest - x) for x in _values(k, cap, rest))
 
-    count, far, fewest = branch(n, n - 1, comb(n, 2))
     realizable = None
     if n <= TOURNAMENT_CAP:
         realizable = sum(
@@ -194,8 +190,8 @@ def stats(n: int) -> EnumerationStats:
         )
     return EnumerationStats(
         n=n,
-        sequence_count=count,
+        sequence_count=count(n, n - 1, comb(n, 2)),
         realizable_count=realizable,
-        max_trace_length=far // 2,
-        max_c=comb(n, 3) - fewest,
+        max_trace_length=max_down_jumps(n),
+        max_c=max_c_value(n),
     )

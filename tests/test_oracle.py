@@ -22,8 +22,6 @@ from landau.sequences import (
     distance,
     down_trace,
     first_violation,
-    max_c_value,
-    max_down_jumps,
     regular_sequence,
 )
 from landau.tournaments import Tournament, from_arcs, realize
@@ -136,11 +134,8 @@ class TestStats:
         assert st.max_trace_length == 1
         assert st.max_c == 2
 
-    def test_n7_matches_formulas(self):
-        st = stats(7)
-        assert st.max_trace_length == max_down_jumps(7) == 6
-        assert st.max_c == max_c_value(7) == 14
-        assert st.realizable_count is None
+    def test_n7_pin(self):
+        assert stats(7) == EnumerationStats(7, 59, None, 6, 14)
 
     def test_n1(self):
         st = stats(1)
@@ -170,7 +165,8 @@ class TestStats:
     @pytest.mark.parametrize("n", range(1, 13))
     def test_matches_aggregates_over_the_listed_sequences(self, n):
         # the reference lists every sequence and reads each one's distance
-        # and c value; stats(n) aggregates over the branching without them
+        # and c value; stats(n) counts over the branching without them and
+        # reads its maxima off max_down_jumps and max_c_value
         seqs = enumerate_landau_sequences(n)
         r = regular_sequence(n)
         st = stats(n)
