@@ -29,7 +29,7 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import asdict
-from itertools import chain, compress
+from itertools import compress
 from typing import Iterable, Iterator, NoReturn, Optional, Sequence, Tuple
 
 import click
@@ -40,7 +40,7 @@ from .sequences import (
     LandauSequence,
     _replayed,
     _seq_str,
-    _walk_plan,
+    _trace,
     c_value,
     distance,
     first_equality_index,
@@ -290,21 +290,19 @@ def trace(sequence, file_, algorithm, fmt):
                 f"trace cap of {TRACE_CAP} scores"
             )
         jump = JumpAlgorithm(algorithm)
-        walk, start, end = _walk_plan(jump, s)
-        # each step is written as it is replayed on its own list from the
-        # walk's chunks, one chunk held at a time (at most about 0.86 MB
-        # under the cap, 1.3 MB while it is built: the whole down walk at
-        # Tr_928, 107,416 steps in one chunk)
-        positions = chain.from_iterable(walk(list(start.scores), list(end.scores)))
-        scores = list(start.scores)
+        # the walk's pairs are held, 8 bytes a step (at most 3.6 MB under the
+        # cap: the gr-up walk of R_221, 449,735 steps), and each step is
+        # written as it is replayed on a list of its own
+        walk = _trace(jump, s)
+        scores = list(walk.start.scores)
         if fmt == "json":  # the bytes json.dumps gives for {"start", "end", "steps"}
             show, line, sep = _json_ints, '{{"seq": {seq}, "low": {lo}, "high": {hi}}}', ", "
-            head = f'{{"start": {show(start)}, "end": {show(end)}, "steps": ['
+            head = f'{{"start": {show(walk.start)}, "end": {show(walk.end)}, "steps": ['
             tail = "]}\n"
         else:
             show, line, sep = _seq_str, "step {i}: low={lo} high={hi} -> {seq}\n", ""
-            head, tail = f"start: {start}\n", f"end: {end}\n"
-        pairs = enumerate(_replayed(scores, jump, positions), start=1)
+            head, tail = f"start: {walk.start}\n", f"end: {walk.end}\n"
+        pairs = enumerate(_replayed(scores, jump, walk._pairs), start=1)
         lines = (line.format(i=i, lo=lo, hi=hi, seq=show(scores)) for i, (lo, hi) in pairs)
         sys.stdout.writelines(_pieces(head, lines, sep, tail))
         sys.stdout.flush()

@@ -420,22 +420,21 @@ class JumpTrace:
         )
 
 
-# The three walks.  Each moves one unit of score at a time in a sorted list,
-# in place, until the list equals ``target``, and yields flat chunks of the
-# 1-based positions low, high, low, high, ... of its steps.  After each yield
-# the list is the state after every position yielded so far.  The chunks are
-# built by C-level ``range`` and ``array`` operations: each down walk yields
-# itself as one array, in closed form, and the up walk one array per run of
-# big steps at the same k.  No walk stops after a precomputed count: each
-# closed form is read off the target's values, and ``_closed_form`` raises if
-# the raises and the lowers it pairs differ in number.  The step functions
-# share no code with the walks: each reads its step off the algorithm's rule.
-def _closed_form(lowers: Callable, a: List[int], target: List[int]) -> Iterator[array]:
-    """A down walk as one chunk: the flat positions lows[0], highs[0],
-    lows[1], highs[1], ... of the arrays ``_raises(a, target)`` and
-    ``lowers(a, target)`` of its raised and lowered positions.  The raises
-    are spread into the chunk and freed before ``lowers`` is called, so at
-    most 12 bytes a step are held."""
+# The three walks.  Each takes a sorted list ``a`` and its ``target`` and
+# returns one array of the 1-based positions low, high, low, high, ... of
+# the steps that move ``a`` one unit of score at a time until it equals
+# ``target``; the up walk moves ``a`` itself, the down walks only read it.
+# The arrays are built by C-level ``range`` and ``array`` operations: each
+# down walk in closed form, the up walk one run of big steps at the same k
+# at a time.  No walk stops after a precomputed count: each closed form is
+# read off the target's values, and ``_closed_form`` raises if the raises
+# and the lowers it pairs differ in number.  The step functions share no
+# code with the walks: each reads its step off the algorithm's rule.
+def _closed_form(lowers: Callable, a: List[int], target: List[int]) -> array:
+    """A down walk: the flat positions lows[0], highs[0], lows[1], highs[1],
+    ... of the arrays ``_raises(a, target)`` and ``lowers(a, target)`` of its
+    raised and lowered positions.  The raises are spread into the result and
+    freed before ``lowers`` is called, so at most 12 bytes a step are held."""
     raised = _raises(a, target)
     pairs = raised * 2
     pairs[0::2] = raised
@@ -446,9 +445,7 @@ def _closed_form(lowers: Callable, a: List[int], target: List[int]) -> Iterator[
             f"walk raises {len(pairs) // 2} times but lowers {len(lowered)} times"
         )
     pairs[1::2] = lowered
-    if pairs:
-        a[:] = target
-        yield pairs
+    return pairs
 
 
 # Both down walks raise the last position of the run of the lowest value v
@@ -475,7 +472,7 @@ def _raises(a: List[int], target: List[int]) -> array:
 # R_n and the second above it: otherwise the list would lie on one side of
 # R_n, whose values differ by at most 1, position by position, with the same
 # total C(n,2).  So the minimum is the lowest short value.
-def _down_walk(a: List[int], target: List[int]) -> Iterator[array]:
+def _down_walk(a: List[int], target: List[int]) -> array:
     return _closed_form(_down_lowers, a, target)
 
 
@@ -490,7 +487,7 @@ def _down_lowers(a: List[int], target: List[int]) -> array:
 
 # The Griggs-Reid down walk raises the last position of the run of the first
 # short position's value, and lowers the first position above its target.
-def _gr_down_walk(a: List[int], target: List[int]) -> Iterator[array]:
+def _gr_down_walk(a: List[int], target: List[int]) -> array:
     return _closed_form(_gr_down_lowers, a, target)
 
 
@@ -529,10 +526,10 @@ def _gr_down_lowers(a: List[int], target: List[int]) -> array:
 # target Tr_n.  After it, positions 1..k strictly increase, so the search for
 # the next k resumes at k+1, and j is found by a scan down from the new k; at
 # j = 1 the scan reads a[-1], the largest score, which is never a[0]-1.
-def _up_walk(a: List[int], target: List[int]) -> Iterator[array]:
+def _up_walk(a: List[int], target: List[int]) -> array:
     n = len(a)
     cascades = array("I", chain.from_iterable((i, i + 1) for i in range(n - 1, 0, -1)))
-    k = 0
+    pairs, k = array("I"), 0
     while a != target:
         k += 1
         while a[k - 1] != a[k]:
@@ -544,37 +541,26 @@ def _up_walk(a: List[int], target: List[int]) -> Iterator[array]:
         h = bisect_right(a, v, k)
         big = min(k - j, h - k - 1) + 1
         base = 2 * (n - k)
-        run = array("I")
         for x in range(j, j + big):
-            run.append(k)
-            run.append(h + j - x)
-            run += cascades[base : 2 * (n - x)]
+            pairs.append(k)
+            pairs.append(h + j - x)
+            pairs += cascades[base : 2 * (n - x)]
         a[j - 1 : j + big - 1] = range(lowest - 1, lowest + big - 1)
         a[h - big : h] = repeat(v + 1, big)
-        yield run
-
-
-def _walk_plan(
-    algorithm: JumpAlgorithm, s: LandauSequence
-) -> Tuple[Callable, LandauSequence, LandauSequence]:
-    """The walk, start and end of the trace of ``algorithm`` for ``s``.
-
-    down walks from s to R_n, gr-down from Tr_n to s, gr-up from s to Tr_n.
-    """
-    n = _sequence(s).n
-    if algorithm is JumpAlgorithm.DOWN:
-        return _down_walk, s, regular_sequence(n)
-    if algorithm is JumpAlgorithm.GR_DOWN:
-        return _gr_down_walk, transitive_sequence(n), s
-    return _up_walk, s, transitive_sequence(n)
+    return pairs
 
 
 def _trace(algorithm: JumpAlgorithm, s: LandauSequence) -> JumpTrace:
-    walk, start, end = _walk_plan(algorithm, s)
-    chunks = walk(list(start.scores), list(end.scores))
-    pairs = next(chunks, array("I"))
-    for chunk in chunks:
-        pairs += chunk
+    """The trace of ``algorithm`` for ``s``: down walks from s to R_n,
+    gr-down from Tr_n to s, gr-up from s to Tr_n."""
+    n = _sequence(s).n
+    if algorithm is JumpAlgorithm.DOWN:
+        walk, start, end = _down_walk, s, regular_sequence(n)
+    elif algorithm is JumpAlgorithm.GR_DOWN:
+        walk, start, end = _gr_down_walk, transitive_sequence(n), s
+    else:
+        walk, start, end = _up_walk, s, transitive_sequence(n)
+    pairs = walk(list(start.scores), list(end.scores))
     return JumpTrace._trusted(start, end, algorithm, pairs)
 
 

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from itertools import islice
 from pathlib import Path
 from unittest import mock
@@ -26,7 +27,9 @@ from landau.cli import (
 )
 from landau.oracle import enumerate_landau_sequences
 from landau.sequences import (
+    JumpAlgorithm,
     ViolationKind,
+    _trace,
     c_value,
     distance,
     down_jump_step,
@@ -467,7 +470,7 @@ class TestTrace:
         class Walked(Exception):
             pass
 
-        with mock.patch("landau.cli._walk_plan", side_effect=Walked) as walk:
+        with mock.patch("landau.cli._trace", side_effect=Walked) as walk:
             result = invoke(runner, "trace", str(s), "--algorithm", algorithm)
         walk.assert_called_once()
         assert isinstance(result.exception, Walked)
@@ -476,7 +479,7 @@ class TestTrace:
     def test_over_the_trace_cap_exits_1_before_any_walk(self, runner, algorithm):
         s, steps = self.at_the_cap(algorithm, over=True)
         assert (steps - 1) * s.n == TRACE_CAP
-        with mock.patch("landau.cli._walk_plan") as walk:
+        with mock.patch("landau.cli._trace") as walk:
             result = invoke(runner, "trace", str(s), "--algorithm", algorithm)
         assert result.exit_code == 1
         assert result.stdout == ""
@@ -486,9 +489,33 @@ class TestTrace:
         )
         walk.assert_not_called()
 
-    # sha256 of the gr-up trace of R_101, whose cascades the up walk yields
-    # as whole chunks; TestNoNumpyOnTheCliPath checks that a fresh process
-    # writes a gr-up trace as the in-process call does
+    def test_the_longest_walks_under_the_cap_hold_only_their_pairs(self):
+        # trace holds a walk's pairs, 8 bytes a step.  The longest walks the
+        # cap lets through are gr-up walks: R_221's c(R_221) = 449,735 steps,
+        # the most at n <= 221, and TRACE_CAP // 222 = 450,450 steps at
+        # n = 222, the most at any n >= 222.  Each holds 3.6 MB of pairs; a
+        # second copy of them would take the peak past 7 MB
+        n = 1
+        while max_c_value(n) <= TRACE_CAP // n:
+            n += 1
+        assert (n, max_c_value(n - 1), TRACE_CAP // n) == (222, 449_735, 450_450)
+        longest = [
+            (regular_sequence(n - 1), max_c_value(n - 1)),
+            (self.with_steps("gr-up", n, TRACE_CAP // n), TRACE_CAP // n),
+        ]
+        for s, steps in longest:
+            tracemalloc.start()
+            try:
+                walk = _trace(JumpAlgorithm.GR_UP, s)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(walk) == steps
+            assert peak < 5e6
+
+    # sha256 of the gr-up trace of R_101, whose cascades of up to 100 steps
+    # follow each big step; TestNoNumpyOnTheCliPath checks that a fresh
+    # process writes a gr-up trace as the in-process call does
     R101_DIGESTS = {
         "json": "4f8c3c6d26ae3a39be101da7e1273ab415e2e1bfba628484e12f307a965af98b",
         "text": "dabe2aa788e55e89ce04f78f2150c8c89caa0a2bd32f57fca702ce76a1fa3065",

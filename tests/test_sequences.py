@@ -594,127 +594,89 @@ class TestWalkInvariants:
         _assert_walk_invariants_hold(s)
 
 
-def _assert_chunks_follow_reference(walk, start, end, steps) -> list:
-    """A walk's chunk contract, against the reference chain ``steps`` from
-    ``start`` to ``end``: the walk's list after each yield is the reference
-    state after as many steps as positions yielded so far, and the chunks
-    concatenate to the reference's positions.  Returns the chunks as lists
-    of (low, high) pairs."""
-    states = [start.scores] + [step.after.scores for step in steps]
-    expected = [(step.low, step.high) for step in steps]
-    a, done, chunks = list(start.scores), 0, []
-    for i, chunk in enumerate(walk(a, list(end.scores))):
-        flat = list(chunk)
-        assert flat and len(flat) % 2 == 0, (start, end, chunk)
-        pairs = list(zip(flat[0::2], flat[1::2]))
-        assert pairs == expected[done : done + len(pairs)], (start, end, i)
-        done += len(pairs)
-        assert tuple(a) == states[done], (start, end, i)
-        chunks.append(pairs)
-    assert done == len(steps), (start, end)
-    return chunks
+def _assert_walk_follows_reference(walk, start, end, steps) -> None:
+    """The array ``walk`` returns from ``start`` to ``end`` is the flat
+    positions low, high, low, high, ... of the reference chain ``steps``."""
+    expected = [x for step in steps for x in (step.low, step.high)]
+    assert list(walk(list(start.scores), list(end.scores))) == expected, (start, end)
 
 
-def _assert_down_chunks_follow_reference(s: LandauSequence) -> None:
-    """The down walk from ``s``: one chunk, or none at the target."""
+def _assert_down_walk_follows_reference(s: LandauSequence) -> None:
+    """The down walk from ``s`` to R_n."""
     r = regular_sequence(s.n)
     steps = _reference_chain(_reference_down_jump_step, s, r)
-    chunks = _assert_chunks_follow_reference(_down_walk, s, r, steps)
-    assert len(chunks) == bool(steps)
+    _assert_walk_follows_reference(_down_walk, s, r, steps)
 
 
-def _assert_gr_down_chunks_follow_reference(u, target: LandauSequence) -> None:
-    """The gr-down walk from ``u`` to ``target``: one chunk, or none at the
-    target."""
+def _assert_gr_down_walk_follows_reference(u, target: LandauSequence) -> None:
+    """The gr-down walk from ``u`` to ``target``."""
     steps = _reference_chain(lambda x: _reference_gr_down_step(x, target), u, target)
-    chunks = _assert_chunks_follow_reference(_gr_down_walk, u, target, steps)
-    assert len(chunks) == bool(steps)
+    _assert_walk_follows_reference(_gr_down_walk, u, target, steps)
 
 
-def _assert_is_up_run(pairs: list) -> None:
-    """``pairs`` is one run of the up walk: big steps (k, h), (k, h-1), ...
-    at one k, each followed by its cascade (k-1, k), (k-2, k-1), ...,
-    (x, x+1), whose last low x rises by one from each big step to the next;
-    x = k is a big step with no cascade, which can only end the run."""
-    (k, h), i, ends = pairs[0], 0, []
-    while i < len(pairs):
-        assert pairs[i] == (k, h - len(ends)), pairs
-        i, x = i + 1, k
-        while i < len(pairs) and pairs[i] == (x - 1, x):
-            i, x = i + 1, x - 1
-        ends.append(x)
-    assert ends == list(range(ends[0], ends[0] + len(ends))), pairs
-
-
-def _assert_up_chunks_follow_reference(s: LandauSequence) -> None:
-    """The up walk's chunk contract, against the reference chain, and its
-    chunk shape: every chunk is one whole run, at a k above the previous
-    run's."""
+def _assert_up_walk_follows_reference(s: LandauSequence) -> None:
+    """The up walk from ``s`` to Tr_n."""
     tr = transitive_sequence(s.n)
     steps = _reference_chain(_reference_up_step, s, tr)
-    chunks = _assert_chunks_follow_reference(_up_walk, s, tr, steps)
-    for before, chunk in zip(chunks, chunks[1:]):
-        assert chunk[0][0] > before[0][0], (s, chunk)
-    for chunk in chunks:
-        _assert_is_up_run(chunk)
+    _assert_walk_follows_reference(_up_walk, s, tr, steps)
 
 
 class TestUpWalkChunks:
     @pytest.mark.parametrize("n", range(1, 10))
     def test_every_sequence_up_to_9(self, n):
         for s in enumerate_landau_sequences(n):
-            _assert_up_chunks_follow_reference(s)
+            _assert_up_walk_follows_reference(s)
 
     @settings(max_examples=40, deadline=None)
     @given(valid_sequences())
     def test_drawn_sequences_up_to_40(self, s):
-        _assert_up_chunks_follow_reference(s)
+        _assert_up_walk_follows_reference(s)
 
     @pytest.mark.parametrize("n", [100, 101])
     def test_long_cascades_of_the_regular_sequence(self, n):
-        _assert_up_chunks_follow_reference(regular_sequence(n))
+        _assert_up_walk_follows_reference(regular_sequence(n))
 
 
 class TestClosedFormWalks:
-    """The down walks' closed forms and the up walk's runs, chunk by chunk
-    against the reference chains, which step one unit at a time and stop on
-    reaching the target."""
+    """The down walks' closed forms and the up walk's runs against the
+    reference chains, which step one unit at a time and stop on reaching the
+    target."""
 
     @pytest.mark.parametrize("n", range(1, 12))
     def test_down_walk_of_every_sequence_up_to_11(self, n):
         for s in enumerate_landau_sequences(n):
-            _assert_down_chunks_follow_reference(s)
+            _assert_down_walk_follows_reference(s)
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_gr_down_walk_of_every_pair_up_to_8(self, n):
         seqs = enumerate_landau_sequences(n)
         for target in seqs:
             for start in seqs:
-                _assert_gr_down_chunks_follow_reference(start, target)
+                _assert_gr_down_walk_follows_reference(start, target)
 
     def test_up_walk_of_every_sequence_of_order_10(self):
         for s in enumerate_landau_sequences(10):
-            _assert_up_chunks_follow_reference(s)
+            _assert_up_walk_follows_reference(s)
 
     @settings(max_examples=40, deadline=None)
     @given(valid_sequences())
     def test_drawn_sequences_up_to_40(self, s):
-        _assert_down_chunks_follow_reference(s)
-        _assert_gr_down_chunks_follow_reference(transitive_sequence(s.n), s)
-        _assert_gr_down_chunks_follow_reference(s, regular_sequence(s.n))
+        _assert_down_walk_follows_reference(s)
+        _assert_gr_down_walk_follows_reference(transitive_sequence(s.n), s)
+        _assert_gr_down_walk_follows_reference(s, regular_sequence(s.n))
 
     @pytest.mark.parametrize("n", [40, 64, 300])
     def test_gr_down_walk_between_drawn_sequences(self, n):
         # the shared raises hold from any sorted start, not only Tr_n
         u, s = _drawn_scores(n, seed=n), _drawn_scores(n, seed=n + 1)
         assert u != s
-        _assert_gr_down_chunks_follow_reference(u, s)
-        _assert_gr_down_chunks_follow_reference(s, u)
+        _assert_gr_down_walk_follows_reference(u, s)
+        _assert_gr_down_walk_follows_reference(s, u)
 
     @pytest.mark.parametrize("n", [300, 301])
     def test_transitive_sequences(self, n):
-        _assert_down_chunks_follow_reference(transitive_sequence(n))
-        _assert_gr_down_chunks_follow_reference(
+        _assert_down_walk_follows_reference(transitive_sequence(n))
+        _assert_gr_down_walk_follows_reference(
             transitive_sequence(n), regular_sequence(n)
         )
 
@@ -729,9 +691,8 @@ class TestClosedFormWalks:
     def test_unequal_raises_and_lowers_raise(self, walk, target, message):
         # a target one above the start's total: the closed form has one more
         # raise than lowers, which is an error, not a shorter walk
-        steps = walk([0, 1, 2, 3], target)
         with pytest.raises(ValueError, match=message):
-            next(steps)
+            walk([0, 1, 2, 3], target)
 
 
 #: multi-step traces of all three walks, and the empty traces at n = 1 and 2
