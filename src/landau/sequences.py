@@ -197,11 +197,8 @@ def validate_strong_landau(s: LandauSequence) -> bool:
 
 def _prefix_equalities(scores: Sequence[int]) -> Iterator[int]:
     """Each k < n where the sorted prefix sum is C(k,2): a strong-component cut."""
-    prefix = 0
-    for k in range(1, len(scores)):
-        prefix += scores[k - 1]
-        if prefix == comb(k, 2):
-            yield k
+    # the prefix sums against C(k,2) as in _violation, stopping before k = n
+    return compress(count(1), map(eq, accumulate(scores[:-1]), accumulate(count())))
 
 
 def first_equality_index(s: LandauSequence) -> Optional[int]:

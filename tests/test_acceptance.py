@@ -9,8 +9,6 @@ import time
 from itertools import combinations_with_replacement
 from math import comb
 
-import numpy as np
-
 from landau.oracle import (
     enumerate_landau_sequences,
     enumerate_tournaments,
@@ -40,6 +38,7 @@ from landau.tournaments import (
     realize_stages,
     score_sequence,
 )
+from test_sequences import _drawn_scores
 
 
 def _passed(name):
@@ -204,20 +203,8 @@ def test_criterion_7_comparison_numbers():
     _passed("criterion 7 (comparison numbers)")
 
 
-def _criterion_8_sequence():
-    n = 2000
-    rng = np.random.default_rng(7)
-    upper = rng.random((n, n)) < 0.5
-    upper = np.triu(upper, k=1)
-    adj = upper | (~(upper | upper.T) & np.tri(n, n, -1, dtype=bool))
-    scores = tuple(sorted(int(x) for x in adj.sum(axis=1)))
-    s = validate_landau(scores)
-    assert isinstance(s, LandauSequence)
-    return s
-
-
 def test_criterion_8_performance_at_n_2000():
-    s = _criterion_8_sequence()
+    s = _drawn_scores(2000, 7)
     start = time.monotonic()
     t = realize(s)
     elapsed = time.monotonic() - start
@@ -228,6 +215,6 @@ def test_criterion_8_performance_at_n_2000():
 
 def test_criterion_8_output_is_byte_identical():
     # pins which tournament realize returns, not just its scores
-    t = realize(_criterion_8_sequence())
+    t = realize(_drawn_scores(2000, 7))
     digest = hashlib.sha256(t.adjacency.tobytes()).hexdigest()
     assert digest == "92f1f33c50acf2f5830685567db31a26a3f96f82e62a22d3cbeb76a8e28a13f9"

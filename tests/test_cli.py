@@ -44,6 +44,7 @@ from landau.sequences import (
     validate_landau,
 )
 from landau.tournaments import from_arcs, score_sequence
+from test_sequences import _drawn_scores
 
 
 @pytest.fixture
@@ -167,10 +168,7 @@ class TestRealize:
     @pytest.fixture
     def pinned(self, tmp_path):
         # Tr_40, R_41, R_40 and the scores of a seeded random tournament, n=200
-        rng = np.random.default_rng(200)
-        upper = np.triu(rng.random((200, 200)) < 0.5, k=1)
-        adj = upper | (~(upper | upper.T) & np.tri(200, 200, -1, dtype=bool))
-        seqs = [range(40), [20] * 41, [19] * 20 + [20] * 20, sorted(adj.sum(axis=1))]
+        seqs = [range(40), [20] * 41, [19] * 20 + [20] * 20, _drawn_scores(200, 200)]
         path = tmp_path / "seqs.txt"
         path.write_text("".join(",".join(map(str, s)) + "\n" for s in seqs))
         return str(path)
@@ -263,18 +261,27 @@ class TestRealize:
         )
         build.assert_not_called()
 
-    def test_random_10000_is_under_the_jump_cap(self):
-        # criterion 8's draw (seed 7) at n=10,000, one row of the matrix at a
-        # time: 197,164 jumps
-        n = 10_000
-        rng = np.random.default_rng(7)
+    @staticmethod
+    def drawn_by_rows(n, seed):
+        """``_drawn_scores(n, seed).scores``, drawn one row of the matrix at a time."""
+        rng = np.random.default_rng(seed)
         scores = np.zeros(n, dtype=np.int64)
         for i in range(n):
             wins = rng.random(n)[i + 1 :] < 0.5
             scores[i] += wins.sum()
             scores[i + 1 :] += ~wins
-        s = validate_landau(sorted(scores.tolist()))
-        assert distance(s, regular_sequence(n)) // 2 == 197_164 <= REALIZE_JUMP_CAP
+        return tuple(sorted(scores.tolist()))
+
+    def test_drawn_by_rows_is_the_matrix_draw(self):
+        for n in [*range(1, 41), 500]:
+            for seed in (7, n):
+                assert self.drawn_by_rows(n, seed) == _drawn_scores(n, seed).scores
+
+    def test_random_10000_is_under_the_jump_cap(self):
+        # criterion 8's draw (seed 7) at n=10,000, by rows, since the whole
+        # matrix would take 800 MB of floats: 197,164 jumps
+        s = validate_landau(self.drawn_by_rows(10_000, 7))
+        assert distance(s, regular_sequence(10_000)) // 2 == 197_164 <= REALIZE_JUMP_CAP
 
     @pytest.mark.parametrize("fmt", TOURNAMENT_FORMATS)
     def test_wrong_realization_exits_1_before_output(self, runner, fmt):

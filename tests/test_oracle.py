@@ -25,6 +25,7 @@ from landau.sequences import (
     regular_sequence,
 )
 from landau.tournaments import Tournament, from_arcs, realize
+from test_sequences import _random_tournament
 
 
 def brute_sequences(n):
@@ -218,9 +219,7 @@ class TestReachability:
     @pytest.mark.parametrize("n", [9, 40, 70])
     @pytest.mark.parametrize("p", [0.05, 0.5, 0.95])
     def test_matches_matrix_warshall_on_random_tournaments(self, n, p):
-        rng = np.random.default_rng(n + int(100 * p))
-        upper = np.triu(rng.random((n, n)) < p, k=1)
-        adj = upper | (~(upper | upper.T) & np.tri(n, n, -1, dtype=bool))
+        adj = _random_tournament(n, p, np.random.default_rng(n + int(100 * p)))
         assert (reachability(Tournament(adj)) == self.matrix_warshall(adj)).all()
 
 

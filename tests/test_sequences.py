@@ -23,12 +23,14 @@ from landau.sequences import (
     ViolationReport,
     _down_walk,
     _gr_down_walk,
+    _prefix_equalities,
     _up_walk,
     c_value,
     compare_order,
     distance,
     down_jump_step,
     down_trace,
+    first_equality_index,
     first_violation,
     gr_down_step,
     gr_down_trace,
@@ -188,6 +190,13 @@ class TestValidateStrongLandau:
 
     def test_single_vertex_is_vacuously_strong(self):
         assert validate_strong_landau(seq(0))
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_cuts_are_the_prefix_sums_equal_to_c_k_2(self, n):
+        for s in enumerate_landau_sequences(n):
+            cuts = [k for k in range(1, n) if sum(s.scores[:k]) == comb(k, 2)]
+            assert list(_prefix_equalities(s.scores)) == cuts, s
+            assert first_equality_index(s) == next(iter(cuts), None)
 
 
 class TestRegularTransitive:
@@ -487,21 +496,28 @@ def valid_sequences(draw, max_n=40):
     upper[np.triu_indices(n, 1)] = draw(
         st.lists(st.booleans(), min_size=pairs, max_size=pairs)
     )
-    return _sorted_scores(upper)
+    return _sorted_scores(_complete(upper))
+
+
+def _complete(upper: np.ndarray) -> np.ndarray:
+    """The tournament in which i < j beats j iff ``upper[i, j]``."""
+    n = len(upper)
+    return upper | (~(upper | upper.T) & np.tri(n, n, -1, dtype=bool))
+
+
+def _random_tournament(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
+    """Each pair i < j oriented i -> j with probability p."""
+    return _complete(np.triu(rng.random((n, n)) < p, k=1))
 
 
 def _drawn_scores(n: int, seed: int) -> LandauSequence:
     """Sorted scores of a tournament on ``n`` vertices, each arc a fair coin
-    drawn from ``seed``."""
-    coins = np.random.default_rng(seed).random((n, n)) < 0.5
-    return _sorted_scores(np.triu(coins, k=1))
+    drawn from ``seed``: the draw every seeded byte pin reads."""
+    return _sorted_scores(_random_tournament(n, 0.5, np.random.default_rng(seed)))
 
 
-def _sorted_scores(upper: np.ndarray) -> LandauSequence:
-    """Sorted scores of the tournament in which i < j beats j iff
-    ``upper[i, j]``."""
-    n = len(upper)
-    adj = upper | (~(upper | upper.T) & np.tri(n, n, -1, dtype=bool))
+def _sorted_scores(adj: np.ndarray) -> LandauSequence:
+    """Sorted scores of the tournament with adjacency matrix ``adj``."""
     return LandauSequence(tuple(sorted(int(x) for x in adj.sum(axis=1))))
 
 

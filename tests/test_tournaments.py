@@ -37,7 +37,7 @@ from landau.tournaments import (
     score_sequence,
     strong_components,
 )
-from test_sequences import valid_sequences
+from test_sequences import _complete, _random_tournament, valid_sequences
 
 
 def three_cycle():
@@ -441,19 +441,9 @@ def _reference_shortest_path(
     return path
 
 
-def _random_tournament(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
-    """Each pair i < j oriented i -> j with probability p."""
-    upper = np.triu(rng.random((n, n)) < p, k=1)
-    return upper | (~(upper | upper.T) & np.tri(n, n, -1, dtype=bool))
-
-
 def _forced_long_path(n: int) -> np.ndarray:
     """i beats i+1, otherwise the higher id wins: 0 -> n-1 takes n-1 arcs."""
-    adj = np.tri(n, n, -1, dtype=bool)
-    idx = np.arange(n - 1)
-    adj[idx, idx + 1] = True
-    adj[idx + 1, idx] = False
-    return adj
+    return _complete(np.eye(n, k=1, dtype=bool))
 
 
 def _descending_long_path(n: int) -> np.ndarray:
