@@ -296,20 +296,13 @@ class JumpStep:
     algorithm: JumpAlgorithm
 
 
-#: The unit of score each algorithm moves: added at ``low`` and at ``high``.
-_MOVES = {
-    JumpAlgorithm.DOWN: (1, -1),
-    JumpAlgorithm.GR_DOWN: (1, -1),
-    JumpAlgorithm.GR_UP: (-1, 1),
-}
-
-
 def _replayed(
     scores: List[int], algorithm: JumpAlgorithm, positions: Iterable[int]
 ) -> Iterator[Tuple[int, int]]:
     """Apply each (low, high) pair of the flat ``positions`` to ``scores`` in
-    place by the algorithm's move, and yield the pair once it is applied."""
-    at_low, at_high = _MOVES[algorithm]
+    place by the algorithm's move in ``_WALKS``, and yield the pair once it is
+    applied."""
+    at_low, at_high = _WALKS[algorithm][2]
     positions = iter(positions)
     for low, high in zip(positions, positions):
         scores[low - 1] += at_low
@@ -498,7 +491,7 @@ def _gr_down_lowers(a: List[int], target: List[int]) -> array:
     return highs
 
 
-# The up walk does Python work only once per run of big steps.  Let k be the
+# The up walk does Python work once per run and once per big step.  Let k be the
 # first position of a repeated value v, so positions 1..k are strictly
 # increasing up to v, and let j be the smallest position such that positions
 # j..k hold consecutive values, v-(k-j) .. v.  The big step lowers position k
@@ -547,16 +540,20 @@ def _up_walk(a: List[int], target: List[int]) -> array:
     return pairs
 
 
+#: Each algorithm's walk, the (start, end) of its trace for a sequence s,
+#: and the unit of score it moves: added at ``low`` and at ``high``.
+_WALKS = {
+    JumpAlgorithm.DOWN: (_down_walk, lambda s: (s, regular_sequence(s.n)), (1, -1)),
+    JumpAlgorithm.GR_DOWN: (_gr_down_walk, lambda s: (transitive_sequence(s.n), s), (1, -1)),
+    JumpAlgorithm.GR_UP: (_up_walk, lambda s: (s, transitive_sequence(s.n)), (-1, 1)),
+}
+
+
 def _trace(algorithm: JumpAlgorithm, s: LandauSequence) -> JumpTrace:
-    """The trace of ``algorithm`` for ``s``: down walks from s to R_n,
-    gr-down from Tr_n to s, gr-up from s to Tr_n."""
-    n = _sequence(s).n
-    if algorithm is JumpAlgorithm.DOWN:
-        walk, start, end = _down_walk, s, regular_sequence(n)
-    elif algorithm is JumpAlgorithm.GR_DOWN:
-        walk, start, end = _gr_down_walk, transitive_sequence(n), s
-    else:
-        walk, start, end = _up_walk, s, transitive_sequence(n)
+    """The trace of ``algorithm`` for ``s``, walked from and to the ends its
+    ``_WALKS`` entry gives."""
+    walk, ends, _ = _WALKS[algorithm]
+    start, end = ends(_sequence(s))
     pairs = walk(list(start.scores), list(end.scores))
     return JumpTrace._trusted(start, end, algorithm, pairs)
 
