@@ -21,7 +21,6 @@ from functools import reduce
 from itertools import compress, count
 from typing import (
     TYPE_CHECKING,
-    Callable,
     Iterable,
     Iterator,
     List,
@@ -452,28 +451,24 @@ def reverse_path(t: Tournament, path: VertexPath) -> Tournament:
     return Tournament._trusted(rows)
 
 
-def _replay(
-    s: LandauSequence, search: Optional[Callable] = None
-) -> Iterator[List[int]]:
+def _replay(s: LandauSequence) -> Iterator[Tuple[List[int], List[int]]]:
     """Replay the down-jump walk of ``s`` in reverse on one list of out-sets.
 
-    Yields the starting regular/nearly-regular rows (see ``_shortest_path``
-    for the layout), then the same list again after each path reversal: for
-    a jump with positions (p, q), a shortest path from vertex p-1 to vertex
-    q-1 is reversed, two XORs per arc, through a table of the n one-bit
-    ints.  ``search(rows, src, dst)`` finds the path; it defaults to the
-    module's ``_shortest_path``, looked up at call time.  The walk is held as
-    the trace's flat array of positions, 8 bytes a jump, and read from its
-    end.
+    Yields ``(rows, path)``: the starting regular/nearly-regular rows (see
+    ``_shortest_path`` for the layout) with an empty path, then the same list
+    again after each path reversal with the path reversed, src first.  For a
+    jump with positions (p, q), ``_shortest_path``, looked up at call time,
+    finds a shortest path from vertex p-1 to vertex q-1, and each of its arcs
+    is reversed by two XORs through a table of the n one-bit ints.  The walk
+    is held as the trace's flat array of positions, 8 bytes a jump, and read
+    from its end.
     """
-    if search is None:
-        search = _shortest_path
     positions = reversed(down_trace(s)._pairs)
     rows = _regular_rows(s.n)
     bit = [1 << i for i in range(s.n)]
-    yield rows
+    yield rows, []
     for q, p in zip(positions, positions):
-        path = search(rows, p - 1, q - 1)
+        path = _shortest_path(rows, p - 1, q - 1)
         if path is None:
             raise UnreachableError(
                 f"no path from {p - 1} to {q - 1}: intermediate tournament is not strong"
@@ -484,7 +479,7 @@ def _replay(
             rows[a] ^= bit[b]
             rows[b] ^= bit[a]
             a = b
-        yield rows
+        yield rows, path
 
 
 def realize(s: LandauSequence) -> Tournament:
@@ -502,7 +497,7 @@ def realize(s: LandauSequence) -> Tournament:
     bound is O(n^4 / 512) word operations in all.  ``landau realize`` reads
     d(R,S)/2 first and refuses more than ``cli.REALIZE_JUMP_CAP`` jumps.
     """
-    for rows in _replay(s):
+    for rows, _ in _replay(s):
         pass
     return Tournament._trusted(rows)
 
@@ -512,12 +507,12 @@ def realize_stages(s: LandauSequence) -> Iterator[Tournament]:
 
     The returned iterator runs from the starting regular/nearly-regular
     tournament down to the realization of ``s``; every stage except possibly
-    the last is strong.  It is an iterator, no longer a list: each stage is
-    made as the replay reaches it, so a caller that reads one stage at a
-    time holds one stage at a time, and ``list(realize_stages(s))`` holds
-    them all.  ``s`` is checked at the call, not at the first stage.
+    the last is strong.  Each stage is made as the replay reaches it, so a
+    caller that reads one stage at a time holds one stage at a time, and
+    ``list(realize_stages(s))`` holds them all.  ``s`` is checked at the
+    call, not at the first stage.
     """
-    return map(Tournament._trusted, _replay(_sequence(s)))
+    return (Tournament._trusted(rows) for rows, _ in _replay(_sequence(s)))
 
 
 def count_3cycles(t: Tournament) -> int:

@@ -1,5 +1,7 @@
 import tracemalloc
-from itertools import combinations
+from collections import Counter
+from itertools import combinations, compress, count
+from operator import ne
 from typing import List, Optional
 
 import numpy as np
@@ -7,7 +9,12 @@ import pytest
 from hypothesis import given, settings
 
 from landau import tournaments
-from landau.oracle import enumerate_tournaments, reachability, three_cycles
+from landau.oracle import (
+    enumerate_landau_sequences,
+    enumerate_tournaments,
+    reachability,
+    three_cycles,
+)
 from landau.sequences import (
     LandauSequence,
     c_value,
@@ -469,19 +476,20 @@ def _mismatches(adj: np.ndarray, sources=None):
     return bad, unreachable
 
 
-def _reference_on_rows(rows, src, dst):
-    """The reference search, on the matrix of the replay's out-set ints."""
-    return _reference_shortest_path(tournaments._matrix(rows), src, dst)
-
-
 def _realize_with_reference(s: LandauSequence):
-    """``realize`` and ``realize_stages`` of ``s``, replayed with the reference
-    search passed through the replay's ``search=`` keyword."""
-    stages = [
-        Tournament._trusted(rows)
-        for rows in tournaments._replay(s, search=_reference_on_rows)
-    ]
-    return stages[-1], stages
+    """``realize`` and ``realize_stages`` of ``s``, rebuilt without the
+    library's replay: from the regular rows, each pair of the down trace, last
+    first, reverses the reference search's path through ``reverse_path``,
+    which checks every arc it reverses.  The search reads a matrix made for
+    it, not the stage's cached ``adjacency``, so the kept stages hold only
+    their rows (at n=140, 3.4 MB rather than 52 MB)."""
+    t = Tournament._trusted(tournaments._regular_rows(s.n))
+    stages = [t]
+    for p, q in reversed(list(down_trace(s).pairs())):
+        path = _reference_shortest_path(tournaments._matrix(t._rows), p - 1, q - 1)
+        t = reverse_path(t, VertexPath(tuple(path)))
+        stages.append(t)
+    return t, stages
 
 
 class TestShortestPathAgainstReference:
@@ -586,10 +594,10 @@ class TestRows:
 
 
 class TestReplayErrors:
-    def test_missing_path_raises_typed_error(self):
-        s = LandauSequence((0, 1, 2))
+    def test_missing_path_raises_typed_error(self, monkeypatch):
+        monkeypatch.setattr(tournaments, "_shortest_path", lambda *a: None)
         with pytest.raises(UnreachableError):
-            list(tournaments._replay(s, search=lambda *a: None))
+            realize(LandauSequence((0, 1, 2)))
 
     def test_score_sequence_rejects_non_landau_scores(self):
         # rows past the constructor's checks: vertex 0 beats all three
@@ -597,6 +605,59 @@ class TestReplayErrors:
         corrupt = Tournament._trusted([0b111, 0, 0])
         with pytest.raises(TournamentError):
             score_sequence(corrupt)
+
+
+def _stream_lengths(s: LandauSequence) -> Counter:
+    """Check every yield of ``tournaments._replay(s)`` against the rows it
+    changed, and count its paths by their arcs.
+
+    Reads only the rows and the trace's pairs, never the search: the first
+    path is empty; each later one runs from p-1 to q-1 of its pair, visits
+    exactly the rows that changed, and turns each of its arcs around; the
+    changed rows differ in two bits an arc.
+    """
+    stream = tournaments._replay(s)
+    rows, path = next(stream)
+    assert path == []
+    before = list(rows)
+    lengths = Counter()
+    pairs = reversed(list(down_trace(s).pairs()))
+    for (p, q), (rows, path) in zip(pairs, stream, strict=True):
+        assert (path[0], path[-1]) == (p - 1, q - 1)
+        changed = list(compress(count(), map(ne, before, rows)))
+        assert changed == sorted(path)
+        for a, b in zip(path, path[1:]):
+            assert before[a] >> b & 1 and not before[b] >> a & 1
+            assert rows[b] >> a & 1 and not rows[a] >> b & 1
+        flipped = sum((before[v] ^ rows[v]).bit_count() for v in changed)
+        assert flipped == 2 * (len(path) - 1)
+        lengths[len(path) - 1] += 1
+        for v in changed:
+            before[v] = rows[v]
+    assert [row.bit_count() for row in before] == list(s.scores)
+    return lengths
+
+
+class TestReplayStream:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_every_sequence_is_its_stage_differences(self, n):
+        for s in enumerate_landau_sequences(n):
+            _stream_lengths(s)
+
+    # the counts a path-length report of realize would give
+    @pytest.mark.parametrize(
+        "n, jumps, arcs, short, longest",
+        [
+            (300, 11_175, 37_193, [74, 5_476, 3_361, 1_151, 309], 252),
+            (500, 31_125, 103_733, [124, 15_376, 9_351, 3_202, 855], 428),
+        ],
+    )
+    def test_transitive_counts(self, n, jumps, arcs, short, longest):
+        lengths = _stream_lengths(transitive_sequence(n))
+        assert sum(lengths.values()) == jumps
+        assert sum(k * m for k, m in lengths.items()) == arcs
+        assert [lengths[k] for k in range(1, 6)] == short
+        assert max(lengths) == longest
 
 
 class TestRowsAgreeWithAdjacency:
